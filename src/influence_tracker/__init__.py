@@ -2,10 +2,9 @@
 
 from .diffusion import (
     ComparisonResult,
-    DiffusionReport,
     TransmissionPath,
     compare_networks,
-    diffusion_report,
+    diffusion_totals,
     enumerate_paths,
     total_tweet_transmission,
     tweet_transmission,
@@ -58,7 +57,6 @@ __all__ = [
     "ComparisonResult",
     "DanglingReference",
     "DatasetError",
-    "DiffusionReport",
     "DuplicateAccount",
     "EmptyWindow",
     "HIndexReport",
@@ -79,7 +77,7 @@ __all__ = [
     "build_network",
     "compare_networks",
     "compute_tcr",
-    "diffusion_report",
+    "diffusion_totals",
     "enumerate_paths",
     "followers_of",
     "generate_synthetic",

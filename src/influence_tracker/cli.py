@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from pathlib import Path
+from datetime import datetime
 
 from .diffusion import compare_networks
 from .errors import InfluenceTrackerError
 from .reports import render_compare, render_score, score_rows
-from .store import generate_synthetic, load_dataset, save_dataset
+from .store import generate_synthetic, load_dataset, parse_timestamp, save_dataset
 
 FORMATS = ("text", "csv", "json")
 FORMAT_ENV_VAR = "INFLUENCE_TRACKER_FORMAT"
@@ -33,35 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}".rstrip())
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved run: dataset, root, budget, instant, and format."""
-
-    dataset_path: Path
-    root: str | None = None
-    n_f: int = 50
-    k: int = 3
-    ttl: int = 3
-    as_of: datetime | None = None
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.k < 1 or self.n_f < self.k:
-            raise UsageError(f"need followers-fetched >= top-k >= 1, got n_f={self.n_f}, k={self.k}")
-        if self.ttl < 1:
-            raise UsageError(f"ttl must be >= 1, got {self.ttl}")
-        if self.output_format not in FORMATS:
-            raise UsageError(f"unknown output format {self.output_format!r}")
-
-
-def _parse_timestamp(raw: str) -> datetime:
+def _parse_as_of(raw: str | None) -> datetime | None:
+    if not raw:
+        return None
     try:
-        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        return parse_timestamp(raw)
     except ValueError:
         raise UsageError(f"cannot parse timestamp {raw!r} (expected RFC 3339)") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -84,7 +60,7 @@ def _resolve_format(explicit: str | None) -> str:
 
 def cmd_score(args) -> int:
     fmt = _resolve_format(args.format)
-    explicit_as_of = _parse_timestamp(args.as_of) if args.as_of else None
+    explicit_as_of = _parse_as_of(args.as_of)
     dataset = load_dataset(args.dataset)
     as_of = explicit_as_of or dataset.captured_at
     rows = score_rows(dataset, args.handles, as_of)
@@ -110,29 +86,28 @@ def cmd_compare(args) -> int:
         raise UsageError(
             f"--nf and --k must pair up, got {len(n_f_values)} and {len(k_values)} values"
         )
-    explicit_as_of = _parse_timestamp(args.as_of) if args.as_of else None
-    configs = [
-        RunConfig(
-            dataset_path=Path(args.dataset), root=args.root, n_f=n_f, k=k,
-            ttl=args.ttl, as_of=explicit_as_of, output_format=fmt,
-        )
-        for n_f, k in zip(n_f_values, k_values)
-    ]
+    explicit_as_of = _parse_as_of(args.as_of)
+    configs = list(zip(n_f_values, k_values))
+    for n_f, k in configs:
+        if k < 1 or n_f < k:
+            raise UsageError(f"need followers-fetched >= top-k >= 1, got n_f={n_f}, k={k}")
+    if args.ttl < 1:
+        raise UsageError(f"ttl must be >= 1, got {args.ttl}")
 
     dataset = load_dataset(args.dataset)
     as_of = explicit_as_of or dataset.captured_at
     root = dataset.resolve(args.root)
 
     results = []
-    for config in configs:
-        result = compare_networks(dataset, root.account_id, config.n_f, config.k, config.ttl, as_of)
+    for n_f, k in configs:
+        result = compare_networks(dataset, root.account_id, n_f, k, args.ttl, as_of)
         if result.by_influence_network.is_degenerate and result.by_followers_network.is_degenerate:
             print(
                 f"warning: root {root.handle} has no resolvable followers; "
                 "both networks are empty",
                 file=sys.stderr,
             )
-        results.append((config.n_f, config.k, config.ttl, result))
+        results.append((n_f, k, args.ttl, result))
     sys.stdout.write(render_compare(
         results, fmt, dataset.dataset_id, root.handle, as_of,
         dump_networks=args.dump_networks,

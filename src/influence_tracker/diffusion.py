@@ -32,30 +32,20 @@ class TransmissionPath:
 
 
 @dataclass(frozen=True)
-class DiffusionReport:
-    """All qualifying paths of one network and their summed transmission."""
-
-    category: RankingCategory
-    path_count: int
-    total_tt: float
-    per_path: tuple[TransmissionPath, ...]
-
-
-@dataclass(frozen=True)
 class ComparisonResult:
     """The two rival networks' totals, their signed gap, and the winner.
 
-    ``winner`` is None for a tie (totals within TIE_TOLERANCE). The full
-    reports and networks are retained so callers can show path counts or
-    dump the graphs without rebuilding.
+    ``winner`` is None for a tie (totals within TIE_TOLERANCE). The path
+    counts and networks are retained so callers can show them or dump the
+    graphs without rebuilding.
     """
 
     by_influence_ttt: float
     by_followers_ttt: float
     difference: float
     winner: RankingCategory | None
-    by_influence_report: DiffusionReport
-    by_followers_report: DiffusionReport
+    by_influence_paths: int
+    by_followers_paths: int
     by_influence_network: LayeredNetwork
     by_followers_network: LayeredNetwork
 
@@ -112,14 +102,36 @@ def total_tweet_transmission(paths: list[TransmissionPath]) -> float:
     return sum(p.path_tt for p in paths)
 
 
-def diffusion_report(network: LayeredNetwork) -> DiffusionReport:
-    paths = enumerate_paths(network)
-    return DiffusionReport(
-        category=network.category,
-        path_count=len(paths),
-        total_tt=total_tweet_transmission(paths),
-        per_path=tuple(paths),
-    )
+def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
+    """(path count, total transmission) of the paths enumerate_paths lists,
+    without listing them.
+
+    Each node reached on layer d carries the number of chains root, layer 1,
+    ..., layer d that end at it and the sum of their products; following
+    only edges into layer d+1 extends all of them at once. The totals are
+    those of the layer-ttl nodes wired to the sink. Nodes and successors are
+    visited in sorted order, so the summation order never depends on hashing.
+    Costs O(nodes + edges) where enumeration costs O(k^ttl).
+    """
+    nodes = network.nodes
+    if network.root not in nodes:
+        return 0, 0.0
+    adjacency = network.successors()
+    reached = {network.root: (1, 1.0)}
+    for depth in range(1, network.ttl + 1):
+        ahead: dict[str, tuple[int, float]] = {}
+        for src in sorted(reached):
+            count, total = reached[src]
+            for dst in adjacency[src]:
+                if nodes[dst].layer == depth:
+                    dst_count, dst_total = ahead.get(dst, (0, 0.0))
+                    ahead[dst] = (
+                        dst_count + count,
+                        dst_total + total * tweet_transmission(nodes[src], nodes[dst]),
+                    )
+        reached = ahead
+    ends = [reached[n] for n in sorted(reached) if network.sink_id in adjacency[n]]
+    return sum(count for count, _ in ends), sum(total for _, total in ends)
 
 
 def compare_networks(
@@ -141,9 +153,9 @@ def compare_networks(
     followers_net = build_network(
         dataset, root, n_f, k, ttl, RankingCategory.BY_FOLLOWERS, as_of
     )
-    influence_report = diffusion_report(influence_net)
-    followers_report = diffusion_report(followers_net)
-    difference = influence_report.total_tt - followers_report.total_tt
+    influence_paths, influence_ttt = diffusion_totals(influence_net)
+    followers_paths, followers_ttt = diffusion_totals(followers_net)
+    difference = influence_ttt - followers_ttt
     if abs(difference) < TIE_TOLERANCE:
         winner = None
     elif difference > 0:
@@ -151,12 +163,12 @@ def compare_networks(
     else:
         winner = RankingCategory.BY_FOLLOWERS
     return ComparisonResult(
-        by_influence_ttt=influence_report.total_tt,
-        by_followers_ttt=followers_report.total_tt,
+        by_influence_ttt=influence_ttt,
+        by_followers_ttt=followers_ttt,
         difference=difference,
         winner=winner,
-        by_influence_report=influence_report,
-        by_followers_report=followers_report,
+        by_influence_paths=influence_paths,
+        by_followers_paths=followers_paths,
         by_influence_network=influence_net,
         by_followers_network=followers_net,
     )

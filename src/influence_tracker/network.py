@@ -14,13 +14,12 @@ stays loop-free at the layer level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 
 from .errors import UnknownAccount
-from .metrics import compute_tcr, influence_metric, retweet_probability
+from .metrics import influence_metric, retweet_probability
 from .models import AccountSnapshot, TweetWindow
 from .store import SnapshotDataset, followers_of
 
@@ -119,16 +118,6 @@ class LayeredNetwork:
             ],
         }
 
-    def to_jsonl(self) -> str:
-        """Deterministic line-per-record graph dump for debugging/export."""
-        dump = self.to_dict()
-        lines = []
-        for node in dump["nodes"]:
-            lines.append(json.dumps({"kind": "node", **node}, separators=(",", ":")))
-        for edge in dump["edges"]:
-            lines.append(json.dumps({"kind": "edge", **edge}, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-
 
 def rank_followers(
     followers: list[tuple[AccountSnapshot, TweetWindow | None]],
@@ -162,7 +151,7 @@ def _node_rates(
     score = influence_metric(snapshot, window, as_of)
     if window is None or window.window_size == 0:
         return 0.0, 0.0, score.value
-    return compute_tcr(window, as_of), retweet_probability(window), score.value
+    return score.tcr, retweet_probability(window), score.value
 
 
 def _make_sink_id(node_ids: set[str]) -> str:

@@ -167,11 +167,11 @@ def render_compare(
                 "ttl": ttl,
                 "by_influence": {
                     "ttt": result.by_influence_ttt,
-                    "path_count": result.by_influence_report.path_count,
+                    "path_count": result.by_influence_paths,
                 },
                 "by_followers": {
                     "ttt": result.by_followers_ttt,
-                    "path_count": result.by_followers_report.path_count,
+                    "path_count": result.by_followers_paths,
                 },
                 "difference": result.difference,
                 "winner": _winner_label(result),
@@ -199,8 +199,8 @@ def render_compare(
                 n_f, k, ttl, root_handle,
                 _cf(result.by_influence_ttt), _cf(result.by_followers_ttt),
                 _cf(result.difference), _winner_label(result),
-                result.by_influence_report.path_count,
-                result.by_followers_report.path_count,
+                result.by_influence_paths,
+                result.by_followers_paths,
             ])
         return buffer.getvalue()
     blocks = []
@@ -209,8 +209,8 @@ def render_compare(
         row = [
             root_handle, _tf(result.by_influence_ttt), _tf(result.by_followers_ttt),
             _tf(result.difference), _winner_label(result),
-            str(result.by_influence_report.path_count),
-            str(result.by_followers_report.path_count),
+            str(result.by_influence_paths),
+            str(result.by_followers_paths),
         ]
         blocks.append(header + "\n" + _text_table(list(COMPARE_COLUMNS), [row]))
     return "\n".join(blocks)

@@ -48,9 +48,6 @@ class SnapshotDataset:
     accounts: dict[str, AccountSnapshot] = field(default_factory=dict)
     windows: dict[str, TweetWindow] = field(default_factory=dict)
 
-    def is_stub(self, account_id: str) -> bool:
-        return account_id in self.accounts and account_id not in self.windows
-
     def window_for(self, account_id: str) -> TweetWindow | None:
         return self.windows.get(account_id)
 
@@ -68,13 +65,14 @@ class SnapshotDataset:
         raise UnknownAccount(f"no account {handle_or_id!r} in dataset {self.dataset_id!r}")
 
 
-def _parse_timestamp(raw: object, line_no: int, field_name: str) -> datetime:
+def parse_timestamp(raw: object) -> datetime:
+    """An RFC 3339 instant in UTC; one without an offset is taken as UTC.
+
+    Raises ValueError for anything else, including non-strings.
+    """
     if not isinstance(raw, str):
-        raise ParseError(line_no, f"{field_name} must be an RFC 3339 string")
-    try:
-        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ParseError(line_no, f"bad {field_name} {raw!r}: {exc}") from None
+        raise ValueError(f"timestamp {raw!r} is not a string")
+    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
@@ -122,7 +120,7 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                         followers_count=record["followers_count"],
                         following_count=record["following_count"],
                         follower_ids=tuple(record["follower_ids"]),
-                        captured_at=_parse_timestamp(record["captured_at"], line_no, "captured_at"),
+                        captured_at=parse_timestamp(record["captured_at"]),
                     )
                 except (TypeError, ValueError) as exc:
                     raise ParseError(line_no, f"bad account record: {exc}") from None
@@ -139,7 +137,10 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                     )
                 if record["id"] in seen_tweet_ids[author_id]:
                     raise ParseError(line_no, f"duplicate tweet id {record['id']!r} for {author_id!r}")
-                created_at = _parse_timestamp(record["created_at"], line_no, "created_at")
+                try:
+                    created_at = parse_timestamp(record["created_at"])
+                except ValueError as exc:
+                    raise ParseError(line_no, f"bad created_at: {exc}") from None
                 if created_at > accounts[author_id].captured_at:
                     raise ParseError(
                         line_no,

@@ -207,6 +207,18 @@ class TestCompare:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--nf", "2", "--k", "3"], "need followers-fetched >= top-k >= 1, got n_f=2, k=3"),
+        (["--ttl", "0"], "ttl must be >= 1, got 0"),
+        (["--as-of", "yesterday"], "cannot parse timestamp 'yesterday' (expected RFC 3339)"),
+    ])
+    def test_bad_budget_or_instant_usage_error(self, capsys, synthetic_path, flags, message):
+        code, _, err = run(capsys, [
+            "compare", "--dataset", synthetic_path, "--root", "acct-00000", *flags,
+        ])
+        assert code == 1
+        assert message in err
+
 
 class TestGen:
     def test_byte_identical_for_same_seed(self, capsys, tmp_path):

@@ -1,15 +1,24 @@
 import dataclasses
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import influence_tracker.diffusion
 from influence_tracker import (
+    LayeredNetwork,
+    NetworkEdge,
     NetworkNode,
     RankingCategory,
     SinkOperand,
     UnknownAccount,
     build_network,
     compare_networks,
+    diffusion_totals,
     enumerate_paths,
     generate_synthetic,
     total_tweet_transmission,
@@ -58,6 +67,25 @@ def brute_force_paths(network):
             product = math.prod(tt(a, b) for a, b in zip(walk[:-2], walk[1:-1]))
             qualifying.append((walk, product))
     return qualifying
+
+
+def fully_connected(k, ttl, seed=0):
+    """Root, ttl layers of k nodes each wired to every node of the next
+    layer, and a sink; rates drawn from ``seed``."""
+    rng = random.Random(seed)
+    layers = [["root"]] + [[f"d{d}-{i}" for i in range(k)] for d in range(1, ttl + 1)]
+    network = LayeredNetwork(root="root", category=RankingCategory.BY_INFLUENCE, ttl=ttl, sink_id="sink")
+    for depth, ids in enumerate(layers):
+        for account_id in ids:
+            network.nodes[account_id] = node(account_id, depth, tcr=rng.uniform(0.5, 5.0), rt=rng.random())
+    network.nodes["sink"] = NetworkNode("sink", None, 0.0, 0.0, 0.0, 0)
+    for upper, lower in zip(layers, layers[1:] + [["sink"]]):
+        network.edges.update(NetworkEdge(src, dst) for src in upper for dst in lower)
+    return network
+
+
+def relative_gap(got, want):
+    return abs(got - want) / abs(want) if want else abs(got)
 
 
 class TestTweetTransmission:
@@ -234,6 +262,66 @@ class TestCompareNetworks:
 
     def test_reports_carry_path_counts(self, tree_dataset):
         result = compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF)
-        assert result.by_influence_report.path_count == 27
-        assert result.by_followers_report.path_count == 27
-        assert result.by_influence_report.total_tt == result.by_influence_ttt
+        assert result.by_influence_paths == 27
+        assert result.by_followers_paths == 27
+
+    def test_never_enumerates_paths(self, tree_dataset, monkeypatch):
+        def refuse(network):
+            raise AssertionError("compare_networks enumerated paths")
+
+        monkeypatch.setattr(influence_tracker.diffusion, "enumerate_paths", refuse)
+        assert compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF).by_influence_ttt == 27.0
+
+
+class TestDiffusionTotals:
+    def test_matches_enumeration_on_seeded_networks(self):
+        for seed in range(1, 101):
+            dataset = generate_synthetic(seed=seed, accounts=45, max_followers=10)
+            root = max(dataset.accounts, key=lambda a: len(dataset.accounts[a].follower_ids))
+            category = RankingCategory.BY_INFLUENCE if seed % 2 else RankingCategory.BY_FOLLOWERS
+            network = build_network(dataset, root, 10, 3, 3, category, AS_OF)
+            paths = enumerate_paths(network)
+            count, total = diffusion_totals(network)
+            assert count == len(paths), f"seed {seed}"
+            assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12, f"seed {seed}"
+
+    def test_fully_connected_layers_give_k_to_the_ttl_paths(self):
+        network = fully_connected(k=4, ttl=5)
+        count, total = diffusion_totals(network)
+        assert count == 4**5
+        assert relative_gap(total, total_tweet_transmission(enumerate_paths(network))) < 1e-12
+
+    def test_insertion_order_leaves_total_bit_identical(self):
+        reference = fully_connected(k=5, ttl=4, seed=5)
+        rng = random.Random(11)
+        for _ in range(5):
+            nodes, edges = list(reference.nodes.items()), list(reference.edges)
+            rng.shuffle(nodes)
+            rng.shuffle(edges)
+            shuffled = dataclasses.replace(reference, nodes=dict(nodes), edges=set(edges))
+            assert diffusion_totals(shuffled) == diffusion_totals(reference)
+
+    def test_total_does_not_depend_on_hash_seed(self):
+        script = ("from test_diffusion import fully_connected; "
+                  "from influence_tracker import diffusion_totals; "
+                  "print(repr(diffusion_totals(fully_connected(k=5, ttl=4, seed=5))))")
+        path = os.pathsep.join([str(Path(influence_tracker.__file__).parents[1]), str(Path(__file__).parent)])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(salt)},
+            ).stdout
+            for salt in range(4)
+        }
+        assert len(outputs) == 1, outputs
+
+    def test_only_layer_steps_that_reach_the_sink_count(self):
+        network = fully_connected(k=2, ttl=3)
+        # root -> d1-0 -> d1-1 -> d3-0 is three hops but not one per layer
+        network.edges |= {NetworkEdge("d1-0", "d1-1"), NetworkEdge("d1-1", "d3-0"),
+                          NetworkEdge("root", "d2-0"), NetworkEdge("d3-1", "d2-0")}
+        network.edges.discard(NetworkEdge("d3-1", "sink"))
+        paths = enumerate_paths(network)
+        count, total = diffusion_totals(network)
+        assert count == len(paths) == 4
+        assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12

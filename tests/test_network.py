@@ -224,7 +224,7 @@ class TestBuildNetwork:
         second = build_network(dataset, root, 12, 3, 3, RankingCategory.BY_INFLUENCE, AS_OF)
         assert first.nodes == second.nodes
         assert first.edges == second.edges
-        assert first.to_jsonl() == second.to_jsonl()
+        assert first.to_dict() == second.to_dict()
 
     def test_degenerate_network(self):
         dataset = dataset_from_spec({"loner": {"follower_ids": ()}, "other": {}})
@@ -257,18 +257,15 @@ class TestBuildNetwork:
 
 
 class TestExport:
-    def test_jsonl_dump_is_sorted_and_complete(self, tree_dataset):
-        import json
+    def test_dump_is_sorted_and_complete(self, tree_dataset):
         network = build_network(
             tree_dataset, "n0", 50, 3, 3, RankingCategory.BY_FOLLOWERS, AS_OF
         )
-        lines = [json.loads(line) for line in network.to_jsonl().splitlines()]
-        node_lines = [l for l in lines if l["kind"] == "node"]
-        edge_lines = [l for l in lines if l["kind"] == "edge"]
-        assert len(node_lines) == len(network.nodes)
-        assert len(edge_lines) == len(network.edges)
-        keys = [(l["layer"] if l["layer"] is not None else 99, l["id"]) for l in node_lines]
+        dump = network.to_dict()
+        assert len(dump["nodes"]) == len(network.nodes)
+        assert len(dump["edges"]) == len(network.edges)
+        keys = [(n["layer"] if n["layer"] is not None else 99, n["id"]) for n in dump["nodes"]]
         assert keys == sorted(keys)
-        assert node_lines[-1]["id"] == network.sink_id
-        pairs = [(l["from"], l["to"]) for l in edge_lines]
+        assert dump["nodes"][-1]["id"] == network.sink_id
+        pairs = [(e["from"], e["to"]) for e in dump["edges"]]
         assert pairs == sorted(pairs)

@@ -55,7 +55,7 @@ class TestLoadDataset:
         dataset = load_dataset(path)
         assert set(dataset.accounts) == {"a", "b"}
         assert dataset.windows["a"].window_size == 1
-        assert dataset.is_stub("b")
+        assert "b" not in dataset.windows
         assert dataset.dataset_id == "dataset"
         assert dataset.captured_at == AS_OF
 
@@ -140,6 +140,17 @@ class TestLoadDataset:
         })
         dataset = load_dataset(write_lines(tmp_path, line))
         assert dataset.accounts["a"].captured_at == AS_OF
+
+    @pytest.mark.parametrize("raw", ["yesterday", 1682899200, None])
+    @pytest.mark.parametrize("kind, field, line", [
+        ("account", "captured_at", 2), ("tweet", "created_at", 3),
+    ])
+    def test_bad_timestamp_reports_line_number(self, tmp_path, raw, kind, field, line):
+        records = {"account": json.loads(account_line("a")), "tweet": json.loads(tweet_line("t1", "a"))}
+        records[kind][field] = raw
+        path = write_lines(tmp_path, "# header", *(json.dumps(r) for r in records.values()))
+        with pytest.raises(ParseError, match=f"line {line}"):
+            load_dataset(path)
 
     def test_reference_fixture_scores(self):
         dataset = load_dataset(DATA_DIR / "reference_accounts.jsonl")
