@@ -133,12 +133,14 @@ def influence_metric(
 
 def h_index(counts: Iterable[int] | Sequence[int]) -> int:
     """Largest h such that at least h of the counts are >= h."""
+    # Sort ascending and walk from the top: reverse=True flips the list
+    # before sorting, which splits runs of equal counts, so an already
+    # ascending input with ties sorts about twice as slowly.
     h = 0
-    for c in sorted(counts, reverse=True):
-        if c > h:
-            h += 1
-        else:
+    for c in reversed(sorted(counts)):
+        if c <= h:
             break
+        h += 1
     return h
 
 
