@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_as_of(raw: str | None) -> datetime | None:
-    if not raw:
+    if raw is None:
         return None
     try:
         return parse_timestamp(raw)

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from operator import attrgetter
+from typing import Callable
 
 from .errors import UnknownAccount
-from .metrics import influence_metric, retweet_probability
-from .models import AccountSnapshot, TweetWindow
+from .metrics import InfluenceScore, influence_metric, retweet_probability
+from .models import AccountSnapshot
 from .store import SnapshotDataset, followers_of
 
 DEFAULT_SINK_ID = "__sink__"
@@ -120,38 +122,24 @@ class LayeredNetwork:
 
 
 def rank_followers(
-    followers: list[tuple[AccountSnapshot, TweetWindow | None]],
-    category: RankingCategory,
+    candidates: list[AccountSnapshot],
+    key: Callable[[AccountSnapshot], float],
     k: int,
-    as_of: datetime,
 ) -> list[str]:
-    """Top-k follower ids under a category, ties broken by ascending id.
+    """Top-k candidate ids by descending ``key``, ties broken by ascending id.
 
-    ByInfluence sorts on the influence score (stubs score 0); ByFollowers
-    on the raw follower count. Returns at most k ids, best first.
+    ``build_network`` passes the influence score from its per-build table
+    for ByInfluence and the raw follower count for ByFollowers. Returns at
+    most k ids, best first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if category is RankingCategory.BY_INFLUENCE:
-        def sort_key(pair):
-            snapshot, window = pair
-            return (-influence_metric(snapshot, window, as_of).value, snapshot.account_id)
-    else:
-        def sort_key(pair):
-            snapshot, _ = pair
-            return (-snapshot.followers_count, snapshot.account_id)
-    ranked = sorted(followers, key=sort_key)
-    return [snapshot.account_id for snapshot, _ in ranked[:k]]
-
-
-def _node_rates(
-    snapshot: AccountSnapshot, window: TweetWindow | None, as_of: datetime
-) -> tuple[float, float, float]:
-    """(tcr, retweet_prob, influence) for an account; zeros for stubs."""
-    score = influence_metric(snapshot, window, as_of)
-    if window is None or window.window_size == 0:
-        return 0.0, 0.0, score.value
-    return score.tcr, retweet_probability(window), score.value
+    # Sort by id, then stably by descending key (reverse=True keeps equal
+    # keys in order): same order as one sort on (-key, id), with no tuple
+    # built per candidate.
+    ranked = sorted(candidates, key=attrgetter("account_id"))
+    ranked.sort(key=key, reverse=True)
+    return [snapshot.account_id for snapshot in ranked[:k]]
 
 
 def _make_sink_id(node_ids: set[str]) -> str:
@@ -189,22 +177,37 @@ def build_network(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    rates: dict[str, tuple[float, float, float]] = {}
+    # One influence score per account per build, shared by ranking and by
+    # the node records; ByFollowers ranking never reads it.
+    scores: dict[str, InfluenceScore] = {}
+
+    def score_of(snapshot: AccountSnapshot) -> InfluenceScore:
+        score = scores.get(snapshot.account_id)
+        if score is None:
+            score = scores[snapshot.account_id] = influence_metric(
+                snapshot, dataset.windows.get(snapshot.account_id), as_of
+            )
+        return score
 
     def node_for(account_id: str, layer: int) -> NetworkNode:
-        if account_id not in rates:
-            rates[account_id] = _node_rates(
-                dataset.accounts[account_id], dataset.windows.get(account_id), as_of
-            )
-        tcr, retweet_prob, influence = rates[account_id]
+        snapshot = dataset.accounts[account_id]
+        score = score_of(snapshot)
+        window = dataset.windows.get(account_id)
+        active = window is not None and window.window_size > 0
         return NetworkNode(
             account_id=account_id,
             layer=layer,
-            tcr=tcr,
-            retweet_prob=retweet_prob,
-            influence=influence,
-            followers_count=dataset.accounts[account_id].followers_count,
+            tcr=score.tcr,
+            retweet_prob=retweet_probability(window) if active else 0.0,
+            influence=score.value,
+            followers_count=snapshot.followers_count,
         )
+
+    if category is RankingCategory.BY_INFLUENCE:
+        def key(snapshot: AccountSnapshot) -> float:
+            return score_of(snapshot).value
+    else:
+        key = attrgetter("followers_count")
 
     network = LayeredNetwork(root=root, category=category, ttl=ttl, sink_id="")
     network.nodes[root] = node_for(root, 0)
@@ -213,11 +216,7 @@ def build_network(
     for layer in range(ttl):
         next_frontier: list[str] = []
         for parent in frontier:
-            candidates = [
-                (snapshot, dataset.windows.get(snapshot.account_id))
-                for snapshot in followers_of(dataset, parent, n_f)
-            ]
-            for selected in rank_followers(candidates, category, k, as_of):
+            for selected in rank_followers(followers_of(dataset, parent, n_f), key, k):
                 if selected == root:
                     continue
                 network.edges.add(NetworkEdge(src=parent, dst=selected))

@@ -38,15 +38,29 @@ _TWEET_FIELDS = ("id", "author_id", "created_at", "retweet_count", "favorite_cou
 class SnapshotDataset:
     """All accounts and tweet windows captured in one snapshot.
 
-    Immutable by convention after load/generation; concurrent readers are
-    safe. ``windows`` holds at most one window per account, and only for
-    accounts present in ``accounts``.
+    Immutable by convention after load/generation. ``windows`` holds at
+    most one window per account, and only for accounts present in
+    ``accounts``.
+
+    Two private lookups are filled lazily from those two dicts: each
+    account's sorted resolvable follower ids (filled per account by
+    ``followers_of``) and a casefolded-handle index (built whole by the
+    first ``resolve`` that misses on id). Concurrent readers stay safe:
+    an entry is built completely before it is stored in one assignment,
+    is never changed afterwards, and two readers racing to fill the same
+    entry store equal values.
     """
 
     dataset_id: str
     captured_at: datetime
     accounts: dict[str, AccountSnapshot] = field(default_factory=dict)
     windows: dict[str, TweetWindow] = field(default_factory=dict)
+    _sorted_followers: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _by_handle: dict[str, list[AccountSnapshot]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def window_for(self, account_id: str) -> TweetWindow | None:
         return self.windows.get(account_id)
@@ -56,8 +70,12 @@ class SnapshotDataset:
         leading "@" optional). Raises UnknownAccount."""
         if handle_or_id in self.accounts:
             return self.accounts[handle_or_id]
-        query = handle_or_id.lstrip("@").casefold()
-        matches = [a for a in self.accounts.values() if a.handle.casefold() == query]
+        if self._by_handle is None:
+            by_handle: dict[str, list[AccountSnapshot]] = {}
+            for account in self.accounts.values():
+                by_handle.setdefault(account.handle.casefold(), []).append(account)
+            self._by_handle = by_handle
+        matches = self._by_handle.get(handle_or_id.lstrip("@").casefold(), [])
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:
@@ -78,10 +96,15 @@ def parse_timestamp(raw: object) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _require_fields(record: dict, fields: tuple[str, ...], line_no: int) -> None:
+def _require_fields(
+    record: dict, fields: tuple[str, ...], string_fields: tuple[str, ...], line_no: int
+) -> None:
     missing = [f for f in fields if f not in record]
     if missing:
         raise ParseError(line_no, f"missing field(s): {', '.join(missing)}")
+    not_strings = [f for f in string_fields if not isinstance(record[f], str)]
+    if not_strings:
+        raise ParseError(line_no, f"field(s) must be strings: {', '.join(not_strings)}")
 
 
 def load_dataset(path: str | Path) -> SnapshotDataset:
@@ -109,7 +132,7 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 raise ParseError(line_no, "record must be a JSON object")
             kind = record.get("kind")
             if kind == "account":
-                _require_fields(record, _ACCOUNT_FIELDS, line_no)
+                _require_fields(record, _ACCOUNT_FIELDS, ("id", "handle"), line_no)
                 account_id = record["id"]
                 if account_id in accounts:
                     raise DuplicateAccount(f"line {line_no}: account {account_id!r} already defined")
@@ -128,7 +151,7 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 tweets_by_author[account_id] = []
                 seen_tweet_ids[account_id] = set()
             elif kind == "tweet":
-                _require_fields(record, _TWEET_FIELDS, line_no)
+                _require_fields(record, _TWEET_FIELDS, ("id", "author_id"), line_no)
                 author_id = record["author_id"]
                 if author_id not in accounts:
                     raise DanglingReference(
@@ -213,16 +236,19 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
 def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[AccountSnapshot]:
     """Up to ``limit`` follower snapshots of an account, smallest ids first.
 
-    Follower ids with no account record are skipped. Raises UnknownAccount
-    if the account itself is absent.
+    Follower ids with no account record are skipped. The sorted resolvable
+    ids are kept on the dataset, so each account's list is sorted once.
+    Raises UnknownAccount if the account itself is absent.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if account_id not in dataset.accounts:
         raise UnknownAccount(f"no account {account_id!r} in dataset {dataset.dataset_id!r}")
-    resolvable = sorted(
-        fid for fid in dataset.accounts[account_id].follower_ids if fid in dataset.accounts
-    )
+    resolvable = dataset._sorted_followers.get(account_id)
+    if resolvable is None:
+        resolvable = dataset._sorted_followers[account_id] = tuple(sorted(
+            fid for fid in dataset.accounts[account_id].follower_ids if fid in dataset.accounts
+        ))
     return [dataset.accounts[fid] for fid in resolvable[:limit]]
 
 

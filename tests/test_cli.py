@@ -118,6 +118,12 @@ class TestScore:
         assert code == 0
         assert "clamped" in err
 
+    def test_empty_as_of_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["score", "--dataset", REFERENCE, "--as-of", "", "SkaiGr"])
+        assert code == 1
+        assert out == ""
+        assert "cannot parse timestamp '' (expected RFC 3339)" in err
+
     def test_account_id_resolves_too(self, capsys):
         code, out, _ = run(capsys, ["score", "--dataset", REFERENCE, "acct-sg"])
         assert code == 0
@@ -211,6 +217,7 @@ class TestCompare:
         (["--nf", "2", "--k", "3"], "need followers-fetched >= top-k >= 1, got n_f=2, k=3"),
         (["--ttl", "0"], "ttl must be >= 1, got 0"),
         (["--as-of", "yesterday"], "cannot parse timestamp 'yesterday' (expected RFC 3339)"),
+        (["--as-of", ""], "cannot parse timestamp '' (expected RFC 3339)"),
     ])
     def test_bad_budget_or_instant_usage_error(self, capsys, synthetic_path, flags, message):
         code, _, err = run(capsys, [
@@ -300,3 +307,19 @@ class TestDeterminism:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    def test_compare_blocks_independent_of_config_order(self, capsys, tmp_path):
+        # Budgets above and below each parent's follower count, in both
+        # orders: per-dataset lookups must not carry one budget into the next.
+        path = tmp_path / "wide.jsonl"
+        dataset = generate_synthetic(seed=5, accounts=200, max_followers=80)
+        save_dataset(dataset, path)
+        root = max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
+        base = ["compare", "--dataset", str(path), "--root", root, "--ttl", "2",
+                "--format", "json", "--dump-networks"]
+        _, forward, _ = run(capsys, base + ["--nf", "200,30", "--k", "8,3"])
+        _, backward, _ = run(capsys, base + ["--nf", "30,200", "--k", "3,8"])
+        forward_blocks = json.loads(forward)["results"]
+        backward_blocks = json.loads(backward)["results"]
+        assert forward_blocks == backward_blocks[::-1]
+        assert forward_blocks[0] != forward_blocks[1]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,12 +7,15 @@ from influence_tracker import (
     RankingCategory,
     UnknownAccount,
     build_network,
+    followers_of,
     generate_synthetic,
     influence_metric,
     rank_followers,
+    retweet_probability,
 )
+from influence_tracker import network as network_module
 
-from conftest import AS_OF, complete_tree_spec, dataset_from_spec, make_account, make_window
+from conftest import AS_OF, complete_tree_spec, dataset_from_spec, make_account
 
 BOTH_CATEGORIES = [RankingCategory.BY_INFLUENCE, RankingCategory.BY_FOLLOWERS]
 
@@ -66,6 +70,15 @@ def network_layers_and_edges(network):
     return layers, edges
 
 
+def influence_key(dataset):
+    """The ByInfluence ranking key, scored directly from the dataset."""
+    return lambda s: influence_metric(s, dataset.windows.get(s.account_id), AS_OF).value
+
+
+def followers_key(snapshot):
+    return snapshot.followers_count
+
+
 class TestRankFollowers:
     def test_top_by_influence(self):
         dataset = dataset_from_spec({
@@ -75,49 +88,56 @@ class TestRankFollowers:
             "d": {"followers_count": 10000, "tweets": 10, "span_days": 1.0},
             "e": {"followers_count": 100000, "tweets": 10, "span_days": 1.0},
         })
-        pairs = [(dataset.accounts[a], dataset.windows.get(a)) for a in "abcde"]
-        top = rank_followers(pairs, RankingCategory.BY_INFLUENCE, 3, AS_OF)
-        assert top == ["e", "d", "c"]
+        candidates = [dataset.accounts[a] for a in "abcde"]
+        assert rank_followers(candidates, influence_key(dataset), 3) == ["e", "d", "c"]
 
     def test_follower_count_ties_break_by_id(self):
-        pairs = [
-            (make_account("b", followers_count=50), None),
-            (make_account("a", followers_count=50), None),
+        candidates = [
+            make_account("b", followers_count=50),
+            make_account("a", followers_count=50),
         ]
-        assert rank_followers(pairs, RankingCategory.BY_FOLLOWERS, 2, AS_OF) == ["a", "b"]
+        assert rank_followers(candidates, followers_key, 2) == ["a", "b"]
 
     def test_stub_ranks_last_by_influence(self):
-        pairs = [
-            (make_account("stub", followers_count=10**6), None),
-            (make_account("active", followers_count=10), make_window("active")),
-        ]
-        assert rank_followers(pairs, RankingCategory.BY_INFLUENCE, 2, AS_OF) == ["active", "stub"]
+        dataset = dataset_from_spec({
+            "stub": {"followers_count": 10**6, "tweets": None},
+            "active": {"followers_count": 10},
+        })
+        candidates = [dataset.accounts["stub"], dataset.accounts["active"]]
+        assert rank_followers(candidates, influence_key(dataset), 2) == ["active", "stub"]
 
     def test_empty_input(self):
-        assert rank_followers([], RankingCategory.BY_FOLLOWERS, 3, AS_OF) == []
+        assert rank_followers([], followers_key, 3) == []
 
     @pytest.mark.parametrize("category", BOTH_CATEGORIES)
     def test_matches_full_sort_oracle(self, category):
         rng = random.Random(42)
-        pairs = []
+        spec = {}
         for i in range(50):
-            account_id = f"f{i:02d}"
-            followers = rng.randint(0, 10000)
-            window = make_window(account_id, n=rng.randint(1, 30), span_days=rng.uniform(0.5, 10)) \
-                if rng.random() > 0.2 else None
-            pairs.append((make_account(account_id, followers_count=followers), window))
+            active = rng.random() > 0.2
+            spec[f"f{i:02d}"] = {
+                "followers_count": rng.randint(0, 10000),
+                "tweets": rng.randint(1, 30) if active else None,
+                "span_days": rng.uniform(0.5, 10),
+            }
+        dataset = dataset_from_spec(spec)
+        candidates = list(dataset.accounts.values())
+        rng.shuffle(candidates)
 
-        def oracle_score(pair):
-            snapshot, window = pair
+        def oracle_score(snapshot):
             if category is RankingCategory.BY_FOLLOWERS:
                 return float(snapshot.followers_count)
-            return influence_metric(snapshot, window, AS_OF).value
+            return influence_metric(snapshot, dataset.windows.get(snapshot.account_id), AS_OF).value
 
         expected = [
-            s.account_id
-            for s, _ in sorted(pairs, key=lambda p: (-oracle_score(p), p[0].account_id))
+            s.account_id for s in sorted(candidates, key=lambda s: (-oracle_score(s), s.account_id))
         ][:7]
-        assert rank_followers(pairs, category, 7, AS_OF) == expected
+        key = followers_key if category is RankingCategory.BY_FOLLOWERS else influence_key(dataset)
+        assert rank_followers(candidates, key, 7) == expected
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_followers([make_account("a")], followers_key, 0)
 
 
 class TestBuildNetwork:
@@ -254,6 +274,60 @@ class TestBuildNetwork:
         assert "small" in by_influence.nodes
         assert "big" in by_followers.nodes
         assert "big" not in by_influence.nodes
+
+
+class TestScoreTable:
+    """Each build scores an account at most once, and only when needed."""
+
+    N_F, K, TTL = 6, 2, 3
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = Counter()
+        original = network_module.influence_metric
+
+        def counting(snapshot, window, as_of):
+            calls[snapshot.account_id] += 1
+            return original(snapshot, window, as_of)
+
+        monkeypatch.setattr(network_module, "influence_metric", counting)
+        return calls
+
+    def build(self, category):
+        dataset = generate_synthetic(seed=9, accounts=60, max_followers=20)
+        root = max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
+        network = build_network(dataset, root, self.N_F, self.K, self.TTL, category, AS_OF)
+        nodes = {n.account_id for n in network.nodes.values() if not n.is_sink}
+        return dataset, network, nodes
+
+    def test_by_influence_scores_each_candidate_and_node_once(self, counted):
+        dataset, network, nodes = self.build(RankingCategory.BY_INFLUENCE)
+        candidates = {
+            s.account_id
+            for n in network.nodes.values() if n.layer is not None and n.layer < self.TTL
+            for s in followers_of(dataset, n.account_id, self.N_F)
+        }
+        assert len(candidates - nodes) > 0
+        assert set(counted) == candidates | nodes
+        assert set(counted.values()) == {1}
+
+    def test_by_followers_scores_only_nodes(self, counted):
+        _, _, nodes = self.build(RankingCategory.BY_FOLLOWERS)
+        assert set(counted) == nodes
+        assert set(counted.values()) == {1}
+
+    def test_node_rates_match_direct_scoring(self):
+        checked = set()
+        for category in BOTH_CATEGORIES:
+            dataset, network, nodes = self.build(category)
+            for account_id in nodes:
+                node = network.nodes[account_id]
+                window = dataset.windows.get(account_id)
+                score = influence_metric(dataset.accounts[account_id], window, AS_OF)
+                assert (node.tcr, node.influence) == (score.tcr, score.value)
+                assert node.retweet_prob == (retweet_probability(window) if window else 0.0)
+            checked |= nodes
+        assert any(a not in dataset.windows for a in checked)
 
 
 class TestExport:

@@ -152,6 +152,19 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=f"line {line}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("kind, field, value, line", [
+        ("account", "handle", 7, 2),
+        ("account", "id", ["a"], 2),
+        ("tweet", "id", ["t1"], 3),
+        ("tweet", "author_id", ["a"], 3),
+    ])
+    def test_non_string_key_rejected(self, tmp_path, kind, field, value, line):
+        records = {"account": json.loads(account_line("a")), "tweet": json.loads(tweet_line("t1", "a"))}
+        records[kind][field] = value
+        path = write_lines(tmp_path, "# header", *(json.dumps(r) for r in records.values()))
+        with pytest.raises(ParseError, match=f"line {line}: field\\(s\\) must be strings: {field}"):
+            load_dataset(path)
+
     def test_reference_fixture_scores(self):
         dataset = load_dataset(DATA_DIR / "reference_accounts.jsonl")
         account = dataset.resolve("@skaigr")
@@ -172,6 +185,21 @@ class TestResolve:
         dataset = load_dataset(write_lines(tmp_path, account_line("a1")))
         with pytest.raises(UnknownAccount):
             dataset.resolve("nobody")
+
+    def test_case_clash_fails_only_when_queried(self, tmp_path):
+        path = write_lines(
+            tmp_path,
+            account_line("a1", handle="Alice"),
+            account_line("a2", handle="ALICE"),
+            account_line("b1", handle="Bob"),
+        )
+        dataset = load_dataset(path)
+        assert dataset.resolve("@bob").account_id == "b1"
+        assert dataset.resolve("a2").account_id == "a2"
+        with pytest.raises(UnknownAccount, match="handle '@alice' is ambiguous in dataset 'dataset'"):
+            dataset.resolve("@alice")
+        with pytest.raises(UnknownAccount, match="no account 'carol' in dataset 'dataset'"):
+            dataset.resolve("carol")
 
 
 class TestRoundTrip:
@@ -221,6 +249,18 @@ class TestFollowersOf:
         })
         result = followers_of(dataset, "root", 10)
         assert [s.account_id for s in result] == ["f1"]
+
+    def test_limits_in_any_order_match_fresh_datasets(self):
+        def build():
+            return generate_synthetic(seed=11, accounts=120, max_followers=60)
+
+        shared = build()
+        root = max(sorted(shared.accounts), key=lambda a: len(shared.accounts[a].follower_ids))
+        assert len(followers_of(build(), root, 50)) > 5
+        for limit in (5, 50, 5):
+            got = [s.account_id for s in followers_of(shared, root, limit)]
+            fresh = [s.account_id for s in followers_of(build(), root, limit)]
+            assert got == fresh
 
     def test_deterministic_across_calls(self):
         dataset = generate_synthetic(seed=11, accounts=30, max_followers=10)
