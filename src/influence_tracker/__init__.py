@@ -15,7 +15,6 @@ from .errors import (
     DanglingReference,
     DatasetError,
     DuplicateAccount,
-    EmptyWindow,
     InfluenceTrackerError,
     ParseError,
     SinkOperand,
@@ -58,7 +57,6 @@ __all__ = [
     "DanglingReference",
     "DatasetError",
     "DuplicateAccount",
-    "EmptyWindow",
     "HIndexReport",
     "InfluenceScore",
     "InfluenceTrackerError",

@@ -11,10 +11,6 @@ class InfluenceTrackerError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyWindow(InfluenceTrackerError):
-    """An operation that needs at least one tweet got an empty window."""
-
-
 class ClockSkew(InfluenceTrackerError):
     """A tweet in the window is newer than the evaluation instant."""
 
@@ -40,11 +36,11 @@ class ParseError(DatasetError):
         self.reason = reason
 
 
-class DuplicateAccount(DatasetError):
+class DuplicateAccount(ParseError):
     """The same account_id appears in more than one account record."""
 
 
-class DanglingReference(DatasetError):
+class DanglingReference(ParseError):
     """A tweet references an author with no preceding account record."""
 
 

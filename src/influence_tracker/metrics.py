@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from .errors import AccountMismatch, ClockSkew, EmptyWindow
+from .errors import AccountMismatch, ClockSkew
 from .models import AccountSnapshot, TweetWindow
 
 SECONDS_PER_DAY = 86400.0
@@ -69,11 +69,8 @@ class HIndexReport:
 def window_span_days(window: TweetWindow, as_of: datetime) -> float:
     """Age in days of the oldest tweet in the window, clamped to >= 1 second.
 
-    Raises EmptyWindow for an empty window and ClockSkew if any tweet is
-    newer than ``as_of``.
+    Raises ClockSkew if any tweet is newer than ``as_of``.
     """
-    if window.window_size == 0:
-        raise EmptyWindow(f"account {window.author_id} has an empty tweet window")
     if window.newest.created_at > as_of:
         raise ClockSkew(
             f"tweet {window.newest.tweet_id} created {window.newest.created_at.isoformat()} "
@@ -114,8 +111,8 @@ def influence_metric(
 ) -> InfluenceScore:
     """Score an account from its snapshot and tweet window.
 
-    A missing or empty window means an inactive account: tcr is 0 and so is
-    the score. Raises AccountMismatch if the window belongs to a different
+    A missing window means an inactive account (a stub): tcr is 0 and so
+    is the score. Raises AccountMismatch if the window belongs to a different
     account.
     """
     if window is not None and window.author_id != snapshot.account_id:
@@ -124,7 +121,7 @@ def influence_metric(
         )
     oom = order_of_magnitude(snapshot.followers_count)
     ftf = follower_following_factor(snapshot.followers_count, snapshot.following_count)
-    if window is None or window.window_size == 0:
+    if window is None:
         tcr = 0.0
     else:
         tcr = compute_tcr(window, as_of)
@@ -160,6 +157,4 @@ def h_index_report(window: TweetWindow, as_of: datetime) -> HIndexReport:
 
 def retweet_probability(window: TweetWindow) -> float:
     """Fraction of the window that is retweets, in [0, 1]."""
-    if window.window_size == 0:
-        raise EmptyWindow(f"account {window.author_id} has an empty tweet window")
     return sum(1 for t in window.tweets if t.is_retweet) / window.window_size

@@ -6,11 +6,15 @@ synthetically). All timestamps are timezone-aware UTC datetimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
+from typing import Iterable
 
 # The scoring window covers at most this many of an account's newest tweets.
 MAX_WINDOW_SIZE = 100
+
+# Every counter is below this bound, so it fits a signed 64-bit integer.
+COUNT_BOUND = 2**63
 
 
 @dataclass(frozen=True)
@@ -30,10 +34,14 @@ class AccountSnapshot:
     captured_at: datetime
 
     def __post_init__(self):
-        if self.followers_count < 0:
-            raise ValueError(f"followers_count must be >= 0, got {self.followers_count}")
-        if self.following_count < 0:
-            raise ValueError(f"following_count must be >= 0, got {self.following_count}")
+        if not 0 <= self.followers_count < COUNT_BOUND:
+            raise ValueError(f"followers_count must be in [0, 2**63), got {self.followers_count}")
+        if not 0 <= self.following_count < COUNT_BOUND:
+            raise ValueError(f"following_count must be in [0, 2**63), got {self.following_count}")
+        try:
+            self.handle.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"handle {self.handle!r} is not valid UTF-8") from None
         if len(set(self.follower_ids)) != len(self.follower_ids):
             raise ValueError("follower_ids contains duplicates")
         if self.account_id in self.follower_ids:
@@ -60,27 +68,28 @@ class TweetRecord:
     is_retweet: bool
 
     def __post_init__(self):
-        if self.retweet_count < 0:
-            raise ValueError(f"retweet_count must be >= 0, got {self.retweet_count}")
-        if self.favorite_count < 0:
-            raise ValueError(f"favorite_count must be >= 0, got {self.favorite_count}")
+        if not 0 <= self.retweet_count < COUNT_BOUND:
+            raise ValueError(f"retweet_count must be in [0, 2**63), got {self.retweet_count}")
+        if not 0 <= self.favorite_count < COUNT_BOUND:
+            raise ValueError(f"favorite_count must be in [0, 2**63), got {self.favorite_count}")
 
 
 @dataclass(frozen=True)
 class TweetWindow:
     """An account's newest tweets, ordered newest-first.
 
-    Holds at most MAX_WINDOW_SIZE tweets. Ordering is created_at descending
-    with tweet_id as a deterministic tie-breaker, so identical inputs always
-    produce the identical window.
+    Holds 1 to MAX_WINDOW_SIZE tweets; an account with no tweets has no
+    window. Ordering is created_at descending with tweet_id as a
+    deterministic tie-breaker, so identical inputs always produce the
+    identical window.
     """
 
     author_id: str
-    tweets: tuple[TweetRecord, ...] = field(default=())
+    tweets: tuple[TweetRecord, ...]
 
     def __post_init__(self):
-        if len(self.tweets) > MAX_WINDOW_SIZE:
-            raise ValueError(f"window holds {len(self.tweets)} tweets, max is {MAX_WINDOW_SIZE}")
+        if not 1 <= len(self.tweets) <= MAX_WINDOW_SIZE:
+            raise ValueError(f"window holds {len(self.tweets)} tweets, must hold 1 to {MAX_WINDOW_SIZE}")
         for t in self.tweets:
             if t.author_id != self.author_id:
                 raise ValueError(f"tweet {t.tweet_id} belongs to {t.author_id}, not {self.author_id}")
@@ -96,18 +105,14 @@ class TweetWindow:
 
     @property
     def oldest(self) -> TweetRecord:
-        if not self.tweets:
-            raise IndexError("window is empty")
         return self.tweets[-1]
 
     @property
     def newest(self) -> TweetRecord:
-        if not self.tweets:
-            raise IndexError("window is empty")
         return self.tweets[0]
 
     @classmethod
-    def from_tweets(cls, author_id: str, tweets: list[TweetRecord] | tuple[TweetRecord, ...]) -> "TweetWindow":
+    def from_tweets(cls, author_id: str, tweets: Iterable[TweetRecord]) -> "TweetWindow":
         """Build a window from tweets in any order, keeping the newest 100."""
         by_id = sorted(tweets, key=lambda t: t.tweet_id)
         newest_first = sorted(by_id, key=lambda t: t.created_at, reverse=True)

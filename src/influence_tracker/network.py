@@ -193,12 +193,11 @@ def build_network(
         snapshot = dataset.accounts[account_id]
         score = score_of(snapshot)
         window = dataset.windows.get(account_id)
-        active = window is not None and window.window_size > 0
         return NetworkNode(
             account_id=account_id,
             layer=layer,
             tcr=score.tcr,
-            retweet_prob=retweet_probability(window) if active else 0.0,
+            retweet_prob=retweet_probability(window) if window is not None else 0.0,
             influence=score.value,
             followers_count=snapshot.followers_count,
         )

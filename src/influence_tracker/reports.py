@@ -53,9 +53,9 @@ def score_rows(dataset: SnapshotDataset, handles: list[str], as_of: datetime) ->
     rows = []
     for handle in handles:
         account = dataset.resolve(handle)
-        window = dataset.window_for(account.account_id)
+        window = dataset.windows.get(account.account_id)
         score = influence_metric(account, window, as_of)
-        if window is not None and window.window_size > 0:
+        if window is not None:
             h_report = h_index_report(window, as_of)
             clamped = h_report.span_days <= EPSILON_DAYS
         else:

@@ -1,22 +1,25 @@
 """Snapshot datasets: JSONL persistence, follower lookup, synthetic data.
 
-File format (UTF-8, one JSON object per line):
+File format (UTF-8, one JSON object per line, "\n" or "\r\n" line ends):
 
     {"kind": "account", "id": ..., "handle": ..., "followers_count": ...,
      "following_count": ..., "follower_ids": [...], "captured_at": RFC 3339}
     {"kind": "tweet", "id": ..., "author_id": ..., "created_at": RFC 3339,
      "retweet_count": ..., "favorite_count": ..., "is_retweet": ...}
 
-Lines starting with "#" are comments. Accounts must precede their tweets;
-otherwise line order is free. Parsing is strict: unknown kinds, duplicate
-accounts, duplicate tweet ids, tweets without a preceding account record,
-and invariant violations are all errors carrying the offending line number.
+``_FIELDS`` gives each field's exact JSON type: a counter is an integer
+below 2**63, never a float or a boolean. Lines starting with "#" are
+comments. Accounts must precede their tweets; otherwise line order is
+free. Every other line becomes a record or raises ParseError with its
+line number: bytes that are not UTF-8, invalid JSON, unknown kinds,
+missing or mistyped fields, duplicate accounts or tweet ids, tweets
+without a preceding account record, and invariant violations.
 
 An account with counters but no tweets is a *stub*: a frontier account
-whose own activity was never fetched. Stubs are legal and rank as inactive
-(zero tweet rate). Follower ids that resolve to no account record at all
-are tolerated on load and skipped by followers_of, since they carry no
-counters to rank.
+whose own activity was never fetched. A stub has no window, and ranks as
+inactive (zero tweet rate). Follower ids that resolve to no account
+record at all are tolerated on load and skipped by followers_of, since
+they carry no counters to rank.
 """
 
 from __future__ import annotations
@@ -30,8 +33,19 @@ from pathlib import Path
 from .errors import DanglingReference, DuplicateAccount, ParseError, UnknownAccount
 from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRecord, TweetWindow
 
-_ACCOUNT_FIELDS = ("id", "handle", "followers_count", "following_count", "follower_ids", "captured_at")
-_TWEET_FIELDS = ("id", "author_id", "created_at", "retweet_count", "favorite_count", "is_retweet")
+# Each record kind's fields in file order, with the JSON type each must
+# hold exactly. The one list field, follower_ids, holds strings.
+_FIELDS = {
+    "account": (
+        ("id", str), ("handle", str), ("followers_count", int),
+        ("following_count", int), ("follower_ids", list), ("captured_at", str),
+    ),
+    "tweet": (
+        ("id", str), ("author_id", str), ("created_at", str),
+        ("retweet_count", int), ("favorite_count", int), ("is_retweet", bool),
+    ),
+}
+_PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "booleans"}
 
 
 @dataclass
@@ -62,9 +76,6 @@ class SnapshotDataset:
         default=None, init=False, repr=False, compare=False
     )
 
-    def window_for(self, account_id: str) -> TweetWindow | None:
-        return self.windows.get(account_id)
-
     def resolve(self, handle_or_id: str) -> AccountSnapshot:
         """Find an account by exact id, or by handle (case-insensitive,
         leading "@" optional). Raises UnknownAccount."""
@@ -83,28 +94,38 @@ class SnapshotDataset:
         raise UnknownAccount(f"no account {handle_or_id!r} in dataset {self.dataset_id!r}")
 
 
-def parse_timestamp(raw: object) -> datetime:
+def parse_timestamp(raw: str) -> datetime:
     """An RFC 3339 instant in UTC; one without an offset is taken as UTC.
 
-    Raises ValueError for anything else, including non-strings.
+    Raises ValueError for anything else, including an instant that falls
+    outside the years 1 to 9999 once moved to UTC.
     """
-    if not isinstance(raw, str):
-        raise ValueError(f"timestamp {raw!r} is not a string")
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {raw!r} is out of range in UTC") from None
 
 
-def _require_fields(
-    record: dict, fields: tuple[str, ...], string_fields: tuple[str, ...], line_no: int
-) -> None:
-    missing = [f for f in fields if f not in record]
+def _record_kind(record: dict, line_no: int) -> str:
+    """The record's kind, once every field of that kind is present and
+    holds exactly its JSON type. Raises ParseError otherwise."""
+    kind = record.get("kind")
+    fields = _FIELDS.get(kind) if type(kind) is str else None
+    if fields is None:
+        raise ParseError(line_no, f"unknown record kind {kind!r}")
+    for name, json_type in fields:
+        value = record.get(name)
+        if type(value) is not json_type or json_type is list and any(type(v) is not str for v in value):
+            break
+    else:
+        return kind
+    missing = [f for f, _ in fields if f not in record]
     if missing:
         raise ParseError(line_no, f"missing field(s): {', '.join(missing)}")
-    not_strings = [f for f in string_fields if not isinstance(record[f], str)]
-    if not_strings:
-        raise ParseError(line_no, f"field(s) must be strings: {', '.join(not_strings)}")
+    raise ParseError(line_no, f"field(s) must be {_PLURALS[json_type]}: {name}")
 
 
 def load_dataset(path: str | Path) -> SnapshotDataset:
@@ -116,28 +137,26 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     """
     path = Path(path)
     accounts: dict[str, AccountSnapshot] = {}
-    tweets_by_author: dict[str, list[TweetRecord]] = {}
-    seen_tweet_ids: dict[str, set[str]] = {}
+    tweets: dict[str, dict[str, TweetRecord]] = {}
 
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                # A JSONDecodeError's msg leaves out its position, which would read as a line number.
+                raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
             if not isinstance(record, dict):
                 raise ParseError(line_no, "record must be a JSON object")
-            kind = record.get("kind")
-            if kind == "account":
-                _require_fields(record, _ACCOUNT_FIELDS, ("id", "handle"), line_no)
+            if _record_kind(record, line_no) == "account":
                 account_id = record["id"]
                 if account_id in accounts:
-                    raise DuplicateAccount(f"line {line_no}: account {account_id!r} already defined")
+                    raise DuplicateAccount(line_no, f"account {account_id!r} already defined")
                 try:
-                    snapshot = AccountSnapshot(
+                    accounts[account_id] = AccountSnapshot(
                         account_id=account_id,
                         handle=record["handle"],
                         followers_count=record["followers_count"],
@@ -145,53 +164,41 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                         follower_ids=tuple(record["follower_ids"]),
                         captured_at=parse_timestamp(record["captured_at"]),
                     )
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(line_no, f"bad account record: {exc}") from None
-                accounts[account_id] = snapshot
-                tweets_by_author[account_id] = []
-                seen_tweet_ids[account_id] = set()
-            elif kind == "tweet":
-                _require_fields(record, _TWEET_FIELDS, ("id", "author_id"), line_no)
-                author_id = record["author_id"]
-                if author_id not in accounts:
-                    raise DanglingReference(
-                        f"line {line_no}: tweet {record['id']!r} references "
-                        f"account {author_id!r} with no preceding account record"
-                    )
-                if record["id"] in seen_tweet_ids[author_id]:
-                    raise ParseError(line_no, f"duplicate tweet id {record['id']!r} for {author_id!r}")
-                try:
-                    created_at = parse_timestamp(record["created_at"])
                 except ValueError as exc:
-                    raise ParseError(line_no, f"bad created_at: {exc}") from None
-                if created_at > accounts[author_id].captured_at:
-                    raise ParseError(
-                        line_no,
-                        f"tweet {record['id']!r} created after its account's capture time",
-                    )
-                try:
-                    tweet = TweetRecord(
-                        tweet_id=record["id"],
-                        author_id=author_id,
-                        created_at=created_at,
-                        retweet_count=record["retweet_count"],
-                        favorite_count=record["favorite_count"],
-                        is_retweet=bool(record["is_retweet"]),
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(line_no, f"bad tweet record: {exc}") from None
-                tweets_by_author[author_id].append(tweet)
-                seen_tweet_ids[author_id].add(tweet.tweet_id)
-            else:
-                raise ParseError(line_no, f"unknown record kind {kind!r}")
+                    raise ParseError(line_no, f"bad account record: {exc}") from None
+                tweets[account_id] = {}
+                continue
+            tweet_id, author_id = record["id"], record["author_id"]
+            if author_id not in accounts:
+                raise DanglingReference(line_no, f"tweet {tweet_id!r} references account "
+                                        f"{author_id!r} with no preceding account record")
+            if tweet_id in tweets[author_id]:
+                raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
+            try:
+                created_at = parse_timestamp(record["created_at"])
+            except ValueError as exc:
+                raise ParseError(line_no, f"bad created_at: {exc}") from None
+            if created_at > accounts[author_id].captured_at:
+                raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
+            try:
+                tweets[author_id][tweet_id] = TweetRecord(
+                    tweet_id=tweet_id,
+                    author_id=author_id,
+                    created_at=created_at,
+                    retweet_count=record["retweet_count"],
+                    favorite_count=record["favorite_count"],
+                    is_retweet=record["is_retweet"],
+                )
+            except ValueError as exc:
+                raise ParseError(line_no, f"bad tweet record: {exc}") from None
 
     if not accounts:
         raise ParseError(0, f"dataset {path.name!r} contains no account records")
 
     windows = {
-        author_id: TweetWindow.from_tweets(author_id, tweets)
-        for author_id, tweets in tweets_by_author.items()
-        if tweets
+        author_id: TweetWindow.from_tweets(author_id, by_id.values())
+        for author_id, by_id in tweets.items()
+        if by_id
     }
     captured_at = max(a.captured_at for a in accounts.values())
     return SnapshotDataset(

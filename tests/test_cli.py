@@ -10,6 +10,7 @@ from influence_tracker.cli import main
 from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS
 
 from conftest import dataset_from_spec
+from test_store import OUT_OF_RANGE, header_account_tweet
 
 DATA_DIR = Path(__file__).parent / "data"
 REFERENCE = str(DATA_DIR / "reference_accounts.jsonl")
@@ -123,6 +124,14 @@ class TestScore:
         assert code == 1
         assert out == ""
         assert "cannot parse timestamp '' (expected RFC 3339)" in err
+
+    def test_as_of_out_of_range_in_utc_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "score", "--dataset", REFERENCE, "--as-of", "9999-12-31T23:59:59-01:00", "SkaiGr",
+        ])
+        assert code == 1
+        assert out == ""
+        assert "cannot parse timestamp '9999-12-31T23:59:59-01:00' (expected RFC 3339)" in err
 
     def test_account_id_resolves_too(self, capsys):
         code, out, _ = run(capsys, ["score", "--dataset", REFERENCE, "acct-sg"])
@@ -270,6 +279,24 @@ class TestExitCodes:
         code, _, err = run(capsys, ["score", "--dataset", str(bad), "x"])
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("kind, field, raw, line, reason", OUT_OF_RANGE)
+    def test_value_out_of_range_exits_2_naming_its_line(self, capsys, tmp_path, kind, field, raw, line, reason):
+        path = tmp_path / "probe.jsonl"
+        path.write_text("\n".join(header_account_tweet(kind, field, raw)) + "\n", encoding="utf-8")
+        for command in (["score", "--dataset", str(path), "a"], ["compare", "--dataset", str(path), "--root", "a"]):
+            code, out, err = run(capsys, command)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: line {line}: ") and reason in err
+
+    def test_invalid_utf8_exits_2_naming_its_line(self, capsys, tmp_path):
+        path = tmp_path / "probe.jsonl"
+        path.write_bytes(header_account_tweet()[1].encode() + b"\n{\"kind\": \"\xff\"}\n")
+        code, out, err = run(capsys, ["score", "--dataset", str(path), "a"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff")
 
     def test_missing_subcommand_exits_1(self, capsys):
         code, _, _ = run(capsys, [])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from influence_tracker import (
     AccountMismatch,
     ClockSkew,
-    EmptyWindow,
     TweetWindow,
     compute_tcr,
     h_index,
@@ -41,10 +40,6 @@ class TestComputeTcr:
     def test_fifty_tweets_over_four_days(self):
         window = make_window("a", n=50, span_days=4.0)
         assert compute_tcr(window, AS_OF) == pytest.approx(50 / 4.0)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(EmptyWindow):
-            compute_tcr(TweetWindow("a"), AS_OF)
 
     def test_tweet_newer_than_as_of_rejected(self):
         window = make_window("a", n=5, span_days=1.0)
@@ -104,11 +99,10 @@ class TestInfluenceMetric:
         assert score.value == 0.0
         assert score.oom_followers == 0.0
 
-    def test_missing_or_empty_window_scores_zero(self):
+    def test_missing_window_scores_zero(self):
         snapshot = make_account("a", followers_count=5000)
-        assert influence_metric(snapshot, None, AS_OF).value == 0.0
-        empty = influence_metric(snapshot, TweetWindow("a"), AS_OF)
-        assert empty.value == 0.0 and empty.tcr == 0.0
+        score = influence_metric(snapshot, None, AS_OF)
+        assert score.value == 0.0 and score.tcr == 0.0
 
     def test_window_for_other_account_rejected(self):
         snapshot = make_account("a")
@@ -194,10 +188,6 @@ class TestHIndexReport:
         assert report.retweet_h_last100 == 3
         assert report.retweet_h_daily == pytest.approx(1.5)
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(EmptyWindow):
-            h_index_report(TweetWindow("a"), AS_OF)
-
 
 class TestRetweetProbability:
     @pytest.mark.parametrize("fraction,expected", [(1.0, 1.0), (0.0, 0.0), (0.25, 0.25)])
@@ -210,6 +200,11 @@ class TestRetweetProbability:
         expected = sum(1 for t in window.tweets if t.is_retweet) / 8
         assert retweet_probability(window) == expected
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(EmptyWindow):
-            retweet_probability(TweetWindow("a"))
+
+class TestTweetWindow:
+    def test_empty_window_cannot_be_built(self):
+        # An account with no tweets has no window at all (it is a stub).
+        with pytest.raises(ValueError, match="window holds 0 tweets, must hold 1 to 100"):
+            TweetWindow("a", ())
+        with pytest.raises(ValueError, match="window holds 0 tweets"):
+            TweetWindow.from_tweets("a", [])

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influence_tracker import (
     DanglingReference,
@@ -15,6 +21,7 @@ from influence_tracker import (
     load_dataset,
     save_dataset,
 )
+from influence_tracker.cli import main
 
 from conftest import AS_OF, dataset_from_spec
 
@@ -41,6 +48,50 @@ def write_lines(tmp_path, *lines, name="dataset.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def with_raw(line, field, raw):
+    """The JSON line with ``field`` holding the JSON text ``raw`` verbatim."""
+    return json.dumps({**json.loads(line), field: None}).replace(f'"{field}": null', f'"{field}": {raw}')
+
+
+def header_account_tweet(kind=None, field=None, raw=None):
+    """Lines "# header", account "a" (line 2) and its tweet (line 3), with
+    one field of the ``kind`` line set to the JSON text ``raw``."""
+    lines = {"account": account_line("a", followers=1000), "tweet": tweet_line("t1", "a")}
+    if kind is not None:
+        lines[kind] = with_raw(lines[kind], field, raw)
+    return ["# header", lines["account"], lines["tweet"]]
+
+
+# Values of the wrong exact JSON type: each used to load, and then
+# scored wrongly or was silently coerced.
+MISTYPED = [
+    pytest.param("account", "followers_count", "1000.0", 2, "must be integers: followers_count", id="float"),
+    pytest.param("account", "followers_count", "true", 2, "must be integers: followers_count", id="bool"),
+    pytest.param("account", "followers_count", "NaN", 2, "must be integers: followers_count", id="nan"),
+    pytest.param("account", "following_count", "1e400", 2, "must be integers: following_count", id="inf"),
+    pytest.param("tweet", "is_retweet", '"false"', 3, "must be booleans: is_retweet", id="str-flag"),
+    pytest.param("tweet", "is_retweet", "1", 3, "must be booleans: is_retweet", id="int-flag"),
+    pytest.param("account", "follower_ids", '"xyz"', 2, "must be lists of strings: follower_ids", id="str-ids"),
+    pytest.param("account", "follower_ids", '{"b": 1}', 2, "must be lists of strings: follower_ids", id="dict-ids"),
+    pytest.param("account", "follower_ids", "[1]", 2, "must be lists of strings: follower_ids", id="int-ids"),
+    pytest.param("tweet", "retweet_count", "2.5", 3, "must be integers: retweet_count", id="float-retweets"),
+]
+
+# Values that used to end in an internal error, at decode or after load.
+OUT_OF_RANGE = [
+    pytest.param("account", "followers_count", "1" * 5001, 2, "invalid JSON: Exceeds the limit", id="5001-digits"),
+    pytest.param("account", "follower_ids", "[" * 100_000 + "]" * 100_000, 2, "invalid JSON: maximum recursion",
+                 id="deep-array"),
+    pytest.param("account", "captured_at", '"0001-01-01T00:00:00+01:00"', 2, "out of range in UTC",
+                 id="underflow-capture"),
+    pytest.param("tweet", "created_at", '"0001-01-01T00:00:00+01:00"', 3, "out of range in UTC",
+                 id="underflow-tweet"),
+    pytest.param("account", "followers_count", str(10**400), 2, "followers_count must be in [0, 2**63)",
+                 id="huge-int"),
+    pytest.param("account", "handle", '"\\ud800x"', 2, "is not valid UTF-8", id="lone-surrogate"),
+]
 
 
 class TestLoadDataset:
@@ -163,6 +214,51 @@ class TestLoadDataset:
         records[kind][field] = value
         path = write_lines(tmp_path, "# header", *(json.dumps(r) for r in records.values()))
         with pytest.raises(ParseError, match=f"line {line}: field\\(s\\) must be strings: {field}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind, field, raw, line, reason", MISTYPED + OUT_OF_RANGE)
+    def test_malformed_value_reports_line_number(self, tmp_path, kind, field, raw, line, reason):
+        path = write_lines(tmp_path, *header_account_tweet(kind, field, raw))
+        with pytest.raises(ParseError, match=f"^line {line}: .*{re.escape(reason)}") as info:
+            load_dataset(path)
+        assert info.value.line_no == line
+
+    def test_counters_just_below_the_bound_load(self, tmp_path):
+        lines = header_account_tweet("tweet", "favorite_count", str(2**63 - 1))
+        dataset = load_dataset(write_lines(tmp_path, *lines))
+        assert dataset.windows["a"].newest.favorite_count == 2**63 - 1
+
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(account_line("a").encode() + b'\n{"kind": "\xff"}\n')
+        with pytest.raises(ParseError, match="^line 2: invalid JSON: 'utf-8' codec") as info:
+            load_dataset(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("kind", ['["account"]', '{"account": 1}', "null", "7"])
+    def test_kind_of_any_json_type_is_looked_up(self, tmp_path, kind):
+        path = write_lines(tmp_path, *header_account_tweet("account", "kind", kind))
+        with pytest.raises(ParseError, match="^line 2: unknown record kind") as info:
+            load_dataset(path)
+        assert info.value.line_no == 2
+
+    def test_duplicate_and_dangling_carry_line_numbers(self, tmp_path):
+        path = write_lines(tmp_path, account_line("a"), account_line("b"), account_line("a"))
+        with pytest.raises(DuplicateAccount, match="^line 3: account 'a' already defined$") as info:
+            load_dataset(path)
+        assert isinstance(info.value, ParseError) and info.value.line_no == 3
+        path = write_lines(tmp_path, account_line("a"), tweet_line("t1", "b"))
+        with pytest.raises(DanglingReference, match="^line 2: tweet 't1' references account 'b'") as info:
+            load_dataset(path)
+        assert isinstance(info.value, ParseError) and info.value.line_no == 2
+
+    def test_crlf_line_ends_load_and_lone_cr_does_not(self, tmp_path):
+        text = "\n".join(header_account_tweet()[1:]) + "\n"
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_dataset(path).windows["a"].window_size == 1
+        path.write_bytes(text.replace("\n", "\r").encode())
+        with pytest.raises(ParseError, match="^line 1: invalid JSON"):
             load_dataset(path)
 
     def test_reference_fixture_scores(self):
@@ -301,3 +397,69 @@ class TestGenerateSynthetic:
     def test_too_few_accounts_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic(seed=1, accounts=1, max_followers=5)
+
+
+# A small valid snapshot: four accounts, one of them a stub ("d").
+SMALL_SNAPSHOT = [
+    account_line("a", follower_ids=("b", "c")),
+    tweet_line("a1", "a", days_ago=0.5, retweets=3, is_retweet=True),
+    tweet_line("a2", "a", days_ago=2.0),
+    account_line("b", follower_ids=("c", "d")),
+    tweet_line("b1", "b", days_ago=1.0, favorites=5),
+    account_line("c", follower_ids=("d",)),
+    tweet_line("c1", "c", days_ago=3.0, is_retweet=True),
+    account_line("d"),
+]
+FIELDS = sorted({field for line in SMALL_SNAPSHOT for field in json.loads(line)})
+
+# Values at the edges the loader must police; each is tried in every field.
+EDGE_VALUES = [2**63 - 1, 2**63, 10**400, 1.0, True, float("nan"), "\ud800x", "a",
+               "0001-01-01T00:00:00+01:00", "tweet", ["a"]]
+JSON_VALUES = st.sampled_from(EDGE_VALUES) | st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8) | st.integers(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
+
+
+def lines_with(field):
+    return [i for i, line in enumerate(SMALL_SNAPSHOT) if field in json.loads(line)]
+
+
+def check_mutation(index, field, value):
+    """Set ``field`` of line ``index + 1`` to ``value``. The file must load
+    or fail at that line or a later one; once loaded, score and compare
+    must not end in an internal error."""
+    record = json.loads(SMALL_SNAPSHOT[index])
+    record[field] = value
+    lines = SMALL_SNAPSHOT[:index] + [json.dumps(record)] + SMALL_SNAPSHOT[index + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            dataset = load_dataset(path)
+        except ParseError as exc:
+            # A changed account id or capture time may fail a later tweet line.
+            assert exc.line_no >= index + 1
+            return
+        handles = [account.handle for account in dataset.accounts.values()]
+        root = min(dataset.accounts)
+        # Encodes strictly, as a real UTF-8 stdout does.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["score", "--dataset", str(path), "--", *handles]) != 3
+            assert main(["compare", "--dataset", str(path), f"--root={root}"]) != 3
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_edge_values_load_or_fail_at_their_line(field):
+    for value in EDGE_VALUES:
+        check_mutation(lines_with(field)[0], field, value)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_any_json_value_loads_or_fails_at_its_line(field, data):
+    index = data.draw(st.sampled_from(lines_with(field)), label="line index")
+    check_mutation(index, field, data.draw(JSON_VALUES, label="value"))
