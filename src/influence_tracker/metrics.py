@@ -130,13 +130,15 @@ def influence_metric(
 
 def h_index(counts: Iterable[int] | Sequence[int]) -> int:
     """Largest h such that at least h of the counts are >= h."""
-    # Sort ascending and walk from the top: reverse=True flips the list
+    # Sort ascending, then reverse in place: reverse=True flips the list
     # before sorting, which splits runs of equal counts, so an already
     # ascending input with ties sorts about twice as slowly.
+    ordered = sorted(counts)
+    ordered.reverse()
     h = 0
-    for c in reversed(sorted(counts)):
+    for c in ordered:
         if c <= h:
-            break
+            return h
         h += 1
     return h
 

@@ -106,6 +106,9 @@ def test_h_index_oracle_equivalence():
 
         mismatches = 0
         cases = 0
+        # One column per tuple position: every non-decreasing tuple over
+        # 0..12, in the lexicographic order itertools yields them.
+        cols = []
         for length in range(0, 13):
             n_cases = math.comb(12 + length, length)
             cases += n_cases
@@ -114,18 +117,29 @@ def test_h_index_oracle_equivalence():
                 continue
             combos = itertools.combinations_with_replacement(range(13), length)
             impl = np.fromiter(map(h_index, combos), dtype=np.int8, count=n_cases)
-            flat = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.combinations_with_replacement(range(13), length)
-                ),
-                dtype=np.int8, count=n_cases * length,
-            )
-            arr = flat.reshape(-1, length)
+            if not cols:
+                cols = [np.arange(13, dtype=np.int8)]
+            else:
+                # extend each tuple by every value from its last one to 12
+                last = cols[-1]
+                reps = 13 - last.astype(np.int64)
+                starts = np.cumsum(reps) - reps
+                new_last = np.arange(n_cases) - np.repeat(starts - last, reps)
+                cols = [np.repeat(c, reps) for c in cols] + [new_last.astype(np.int8)]
+            arr = np.stack(cols)
+            assert arr.shape == (length, n_cases)
+            # rows non-decreasing and strictly increasing in lexicographic
+            # order, so with n_cases rows they are exactly the tuples above
+            assert (np.diff(arr, axis=0) >= 0).all()
+            keys = np.zeros(n_cases, dtype=np.int64)
+            for col in arr:
+                keys = keys * 13 + col
+            assert (np.diff(keys) > 0).all()
             # definitional scan: for each h, count entries >= h
             oracle = np.zeros(n_cases, dtype=np.int8)
             for h in range(1, length + 1):
                 oracle = np.where(
-                    (arr >= h).sum(axis=1, dtype=np.int8) >= h, np.int8(h), oracle
+                    (arr >= h).sum(axis=0, dtype=np.int8) >= h, np.int8(h), oracle
                 )
             mismatches += int((impl != oracle).sum())
         assert cases == 5_200_300

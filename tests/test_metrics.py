@@ -41,6 +41,11 @@ class TestComputeTcr:
         window = make_window("a", n=50, span_days=4.0)
         assert compute_tcr(window, AS_OF) == pytest.approx(50 / 4.0)
 
+    def test_empty_window_rejected(self):
+        # The window is refused when built, so compute_tcr never sees it.
+        with pytest.raises(ValueError, match="window holds 0 tweets"):
+            compute_tcr(TweetWindow("a", ()), AS_OF)
+
     def test_tweet_newer_than_as_of_rejected(self):
         window = make_window("a", n=5, span_days=1.0)
         with pytest.raises(ClockSkew):
@@ -188,6 +193,10 @@ class TestHIndexReport:
         assert report.retweet_h_last100 == 3
         assert report.retweet_h_daily == pytest.approx(1.5)
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="window holds 0 tweets"):
+            h_index_report(TweetWindow.from_tweets("a", []), AS_OF)
+
 
 class TestRetweetProbability:
     @pytest.mark.parametrize("fraction,expected", [(1.0, 1.0), (0.0, 0.0), (0.25, 0.25)])
@@ -199,6 +208,10 @@ class TestRetweetProbability:
         window = make_window("a", n=8, span_days=1.0, retweet_fraction=0.5)
         expected = sum(1 for t in window.tweets if t.is_retweet) / 8
         assert retweet_probability(window) == expected
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="window holds 0 tweets"):
+            retweet_probability(TweetWindow("a", ()))
 
 
 class TestTweetWindow:
