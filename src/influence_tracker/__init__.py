@@ -17,7 +17,6 @@ from .errors import (
     DuplicateAccount,
     InfluenceTrackerError,
     ParseError,
-    SinkOperand,
     UnknownAccount,
 )
 from .metrics import (
@@ -66,7 +65,6 @@ __all__ = [
     "NetworkNode",
     "ParseError",
     "RankingCategory",
-    "SinkOperand",
     "SnapshotDataset",
     "TransmissionPath",
     "TweetRecord",

@@ -3,9 +3,9 @@
 Each follow edge carries a tweet-transmission factor: the downstream
 account's tweet rate relative to the upstream one, times the downstream
 retweet propensity. A path from root to sink crossing every layer once
-scores the product of its edge factors (the sink hop is structural and
-contributes none). A network's total is the sum over all such paths; the
-network with the larger total spreads information further.
+scores the product of its edge factors (the sink exists only in network
+dumps and adds none). A network's total is the sum over all such paths;
+the network with the larger total spreads information further.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
-from .errors import SinkOperand
 from .network import LayeredNetwork, NetworkNode, RankingCategory, build_network
 from .store import SnapshotDataset
 
@@ -24,7 +23,7 @@ TIE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class TransmissionPath:
-    """One root-to-sink path: its nodes, per-edge factors, and their product."""
+    """One root-to-sink path: its nodes (sink id last), edge factors, and their product."""
 
     nodes: tuple[str, ...]
     edge_tt: tuple[float, ...]
@@ -54,10 +53,8 @@ def tweet_transmission(upstream: NetworkNode, downstream: NetworkNode) -> float:
     """Per-edge transmission factor: (downstream tcr / upstream tcr) * downstream retweet prob.
 
     An upstream that never tweets transmits nothing (returns 0 rather than
-    dividing by zero). Raises SinkOperand if either node is the sink.
+    dividing by zero).
     """
-    if upstream.is_sink or downstream.is_sink:
-        raise SinkOperand("tweet transmission is undefined for the sink node")
     if upstream.tcr == 0:
         return 0.0
     return (downstream.tcr / upstream.tcr) * downstream.retweet_prob
@@ -66,30 +63,30 @@ def tweet_transmission(upstream: NetworkNode, downstream: NetworkNode) -> float:
 def enumerate_paths(network: LayeredNetwork) -> list[TransmissionPath]:
     """All root-to-sink paths whose layers strictly step 0, 1, ..., ttl, sink.
 
+    Every chain reaching layer ttl reaches the sink, whose id ends its nodes.
     Edges that stay within a layer, skip layers, or point back up are never
     traversed. Paths come out in lexicographic node-id order. An empty list
     means the network has no complete chain (degenerate or truncated).
     """
     nodes = network.nodes
     adjacency = network.successors()
+    sink_id = network.sink_id
     paths: list[TransmissionPath] = []
 
     def walk(chain: list[str]) -> None:
-        current = chain[-1]
         depth = len(chain) - 1
         if depth == network.ttl:
-            if network.sink_id in adjacency[current]:
-                edge_tt = tuple(
-                    tweet_transmission(nodes[a], nodes[b]) for a, b in zip(chain, chain[1:])
-                )
-                paths.append(TransmissionPath(
-                    nodes=tuple(chain) + (network.sink_id,),
-                    edge_tt=edge_tt,
-                    path_tt=math.prod(edge_tt),
-                ))
+            edge_tt = tuple(
+                tweet_transmission(nodes[a], nodes[b]) for a, b in zip(chain, chain[1:])
+            )
+            paths.append(TransmissionPath(
+                nodes=tuple(chain) + (sink_id,),
+                edge_tt=edge_tt,
+                path_tt=math.prod(edge_tt),
+            ))
             return
-        for succ in adjacency[current]:
-            if succ != network.sink_id and nodes[succ].layer == depth + 1:
+        for succ in adjacency[chain[-1]]:
+            if nodes[succ].layer == depth + 1:
                 walk(chain + [succ])
 
     if network.root in nodes:
@@ -109,7 +106,7 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
     Each node reached on layer d carries the number of chains root, layer 1,
     ..., layer d that end at it and the sum of their products; following
     only edges into layer d+1 extends all of them at once. The totals are
-    those of the layer-ttl nodes wired to the sink. Nodes and successors are
+    those of the nodes reached at depth ttl. Nodes and successors are
     visited in sorted order, so the summation order never depends on hashing.
     Costs O(nodes + edges) where enumeration costs O(k^ttl).
     """
@@ -119,6 +116,8 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
     adjacency = network.successors()
     reached = {network.root: (1, 1.0)}
     for depth in range(1, network.ttl + 1):
+        if not reached:
+            break
         ahead: dict[str, tuple[int, float]] = {}
         for src in sorted(reached):
             count, total = reached[src]
@@ -130,7 +129,7 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
                         dst_total + total * tweet_transmission(nodes[src], nodes[dst]),
                     )
         reached = ahead
-    ends = [reached[n] for n in sorted(reached) if network.sink_id in adjacency[n]]
+    ends = [reached[n] for n in sorted(reached)]
     return sum(count for count, _ in ends), sum(total for _, total in ends)
 
 

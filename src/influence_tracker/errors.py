@@ -19,10 +19,6 @@ class AccountMismatch(InfluenceTrackerError):
     """Snapshot and tweet window belong to different accounts."""
 
 
-class SinkOperand(InfluenceTrackerError):
-    """The sink node was passed where a real account node is required."""
-
-
 class DatasetError(InfluenceTrackerError):
     """Base class for dataset-file and lookup failures (CLI exit code 2)."""
 

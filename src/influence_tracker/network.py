@@ -3,8 +3,9 @@
 Starting from a root, each layer's nodes are expanded by fetching up to
 ``n_f`` of their followers and keeping the top ``k`` under one of two
 rival ranking categories: by influence score, or by raw follower count.
-Expansion stops after ``ttl`` layers; a synthetic sink node is then wired
-to every node on the last layer so all diffusion paths share one endpoint.
+Expansion stops after ``ttl`` layers, or once a layer adds no account.
+Every last-layer node feeds one synthetic sink, so all diffusion paths
+share one endpoint; the sink is drawn only in the ``to_dict`` dump.
 
 A node's layer is the depth at which it was first selected (first
 assignment wins); later selections only add edges. The root is never
@@ -35,21 +36,14 @@ class RankingCategory(Enum):
 
 @dataclass(frozen=True)
 class NetworkNode:
-    """One account in the network, with the rates diffusion needs.
-
-    ``layer`` is None for the sink, which carries zero rates.
-    """
+    """One account in the network, with the rates diffusion needs."""
 
     account_id: str
-    layer: int | None
+    layer: int
     tcr: float
     retweet_prob: float
     influence: float
     followers_count: int
-
-    @property
-    def is_sink(self) -> bool:
-        return self.layer is None
 
 
 @dataclass(frozen=True)
@@ -66,14 +60,21 @@ class NetworkEdge:
 
 @dataclass
 class LayeredNetwork:
-    """A rooted, layer-annotated follower graph with a sink, under one category."""
+    """A rooted, layer-annotated follower graph under one category."""
 
     root: str
     category: RankingCategory
     ttl: int
-    sink_id: str
     nodes: dict[str, NetworkNode] = field(default_factory=dict)
     edges: set[NetworkEdge] = field(default_factory=set)
+
+    @property
+    def sink_id(self) -> str:
+        """DEFAULT_SINK_ID, lengthened with "_" past any node id."""
+        sink_id = DEFAULT_SINK_ID
+        while sink_id in self.nodes:
+            sink_id += "_"
+        return sink_id
 
     @property
     def is_degenerate(self) -> bool:
@@ -90,19 +91,21 @@ class LayeredNetwork:
         return adj
 
     def sorted_nodes(self) -> list[NetworkNode]:
-        """Nodes ordered by (layer, account_id), sink last."""
-        return sorted(
-            self.nodes.values(),
-            key=lambda n: (n.layer if n.layer is not None else self.ttl + 1, n.account_id),
-        )
+        """Nodes ordered by (layer, account_id)."""
+        return sorted(self.nodes.values(), key=attrgetter("layer", "account_id"))
 
     def to_dict(self) -> dict:
-        """JSON-ready dump: node records then edge records, fully sorted."""
+        """JSON-ready dump: node records then edge records, fully sorted, with
+        the sink's record last and an edge into it from each layer-ttl node."""
+        sink_id = self.sink_id
+        nodes = self.sorted_nodes()
+        edges = [(e.src, e.dst) for e in self.edges]
+        edges += [(n.account_id, sink_id) for n in nodes if n.layer == self.ttl]
         return {
             "root": self.root,
             "category": self.category.value,
             "ttl": self.ttl,
-            "sink_id": self.sink_id,
+            "sink_id": sink_id,
             "nodes": [
                 {
                     "id": n.account_id,
@@ -112,12 +115,10 @@ class LayeredNetwork:
                     "influence": n.influence,
                     "followers_count": n.followers_count,
                 }
-                for n in self.sorted_nodes()
-            ],
-            "edges": [
-                {"from": e.src, "to": e.dst}
-                for e in sorted(self.edges, key=lambda e: (e.src, e.dst))
-            ],
+                for n in nodes
+            ] + [{"id": sink_id, "layer": None, "tcr": 0.0, "retweet_prob": 0.0,
+                  "influence": 0.0, "followers_count": 0}],
+            "edges": [{"from": src, "to": dst} for src, dst in sorted(edges)],
         }
 
 
@@ -142,13 +143,6 @@ def rank_followers(
     return [snapshot.account_id for snapshot in ranked[:k]]
 
 
-def _make_sink_id(node_ids: set[str]) -> str:
-    sink_id = DEFAULT_SINK_ID
-    while sink_id in node_ids:
-        sink_id += "_"
-    return sink_id
-
-
 def build_network(
     dataset: SnapshotDataset,
     root: str,
@@ -163,10 +157,10 @@ def build_network(
     Per node at layer n < ttl: fetch up to ``n_f`` followers, rank them
     under ``category``, select the top ``k``. New accounts join at layer
     n+1; known accounts only gain an edge. Selections of the root are
-    dropped. Finally every layer-``ttl`` node is wired to the sink.
+    dropped. Expansion stops once a layer adds no account.
 
-    A root with no resolvable followers yields a degenerate network (root
-    plus sink, no paths); callers are expected to report that, not fail.
+    A root with no resolvable followers yields a degenerate network (the
+    root alone, no paths); callers are expected to report that, not fail.
     """
     if root not in dataset.accounts:
         raise UnknownAccount(f"no account {root!r} in dataset {dataset.dataset_id!r}")
@@ -208,7 +202,7 @@ def build_network(
     else:
         key = attrgetter("followers_count")
 
-    network = LayeredNetwork(root=root, category=category, ttl=ttl, sink_id="")
+    network = LayeredNetwork(root=root, category=category, ttl=ttl)
     network.nodes[root] = node_for(root, 0)
     frontier = [root]
 
@@ -223,14 +217,6 @@ def build_network(
                     network.nodes[selected] = node_for(selected, layer + 1)
                     next_frontier.append(selected)
         frontier = next_frontier
-
-    sink_id = _make_sink_id(set(network.nodes))
-    network.sink_id = sink_id
-    network.nodes[sink_id] = NetworkNode(
-        account_id=sink_id, layer=None, tcr=0.0, retweet_prob=0.0,
-        influence=0.0, followers_count=0,
-    )
-    for node in list(network.nodes.values()):
-        if node.layer == ttl:
-            network.edges.add(NetworkEdge(src=node.account_id, dst=sink_id))
+        if not frontier:
+            break
     return network

@@ -84,7 +84,7 @@ class SnapshotDataset:
         if self._by_handle is None:
             by_handle: dict[str, list[AccountSnapshot]] = {}
             for account in self.accounts.values():
-                by_handle.setdefault(account.handle.casefold(), []).append(account)
+                by_handle.setdefault(account.handle.lstrip("@").casefold(), []).append(account)
             self._by_handle = by_handle
         matches = self._by_handle.get(handle_or_id.lstrip("@").casefold(), [])
         if len(matches) == 1:

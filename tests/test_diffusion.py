@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import random
@@ -14,13 +15,13 @@ from influence_tracker import (
     NetworkEdge,
     NetworkNode,
     RankingCategory,
-    SinkOperand,
     UnknownAccount,
     build_network,
     compare_networks,
     diffusion_totals,
     enumerate_paths,
     generate_synthetic,
+    save_dataset,
     total_tweet_transmission,
     tweet_transmission,
 )
@@ -36,11 +37,19 @@ def node(account_id, layer, tcr=1.0, rt=0.5):
 
 
 def brute_force_paths(network):
-    """Every (ttl+1)-edge walk root -> ... -> sink, then filtered to the
-    layer sequence 0, 1, ..., ttl, sink. Recomputes edge factors inline."""
+    """Every (ttl+1)-edge walk root -> ... -> sink in the network's dump,
+    then filtered to the layer sequence 0, 1, ..., ttl, sink. Recomputes
+    edge factors inline. Also checks that the dump wires exactly the
+    layer-ttl nodes to the sink."""
+    dump = network.to_dict()
+    sink_id = dump["sink_id"]
+    layer_of = {n["id"]: n["layer"] for n in dump["nodes"]}
     adjacency = {}
-    for e in network.edges:
-        adjacency.setdefault(e.src, set()).add(e.dst)
+    for e in dump["edges"]:
+        adjacency.setdefault(e["from"], set()).add(e["to"])
+    assert {src for src, dsts in adjacency.items() if sink_id in dsts} == {
+        n for n, layer in layer_of.items() if layer == network.ttl
+    }
 
     def tt(src, dst):
         up, down = network.nodes[src], network.nodes[dst]
@@ -52,7 +61,7 @@ def brute_force_paths(network):
 
     def grow(walk):
         if len(walk) == network.ttl + 2:
-            if walk[-1] == network.sink_id:
+            if walk[-1] == sink_id:
                 walks.append(tuple(walk))
             return
         for succ in adjacency.get(walk[-1], ()):
@@ -62,7 +71,7 @@ def brute_force_paths(network):
 
     qualifying = []
     for walk in walks:
-        layers = [network.nodes[n].layer for n in walk]
+        layers = [layer_of[n] for n in walk]
         if layers == list(range(network.ttl + 1)) + [None]:
             product = math.prod(tt(a, b) for a, b in zip(walk[:-2], walk[1:-1]))
             qualifying.append((walk, product))
@@ -70,16 +79,15 @@ def brute_force_paths(network):
 
 
 def fully_connected(k, ttl, seed=0):
-    """Root, ttl layers of k nodes each wired to every node of the next
-    layer, and a sink; rates drawn from ``seed``."""
+    """Root and ttl layers of k nodes, each node wired to every node of the
+    next layer; rates drawn from ``seed``."""
     rng = random.Random(seed)
     layers = [["root"]] + [[f"d{d}-{i}" for i in range(k)] for d in range(1, ttl + 1)]
-    network = LayeredNetwork(root="root", category=RankingCategory.BY_INFLUENCE, ttl=ttl, sink_id="sink")
+    network = LayeredNetwork(root="root", category=RankingCategory.BY_INFLUENCE, ttl=ttl)
     for depth, ids in enumerate(layers):
         for account_id in ids:
             network.nodes[account_id] = node(account_id, depth, tcr=rng.uniform(0.5, 5.0), rt=rng.random())
-    network.nodes["sink"] = NetworkNode("sink", None, 0.0, 0.0, 0.0, 0)
-    for upper, lower in zip(layers, layers[1:] + [["sink"]]):
+    for upper, lower in zip(layers, layers[1:]):
         network.edges.update(NetworkEdge(src, dst) for src in upper for dst in lower)
     return network
 
@@ -102,13 +110,6 @@ class TestTweetTransmission:
 
     def test_silent_upstream_transmits_nothing(self):
         assert tweet_transmission(node("u", 1, tcr=0.0), node("d", 2, tcr=9.0, rt=1.0)) == 0.0
-
-    def test_sink_operand_rejected(self):
-        sink = NetworkNode("__sink__", None, 0.0, 0.0, 0.0, 0)
-        with pytest.raises(SinkOperand):
-            tweet_transmission(node("u", 3), sink)
-        with pytest.raises(SinkOperand):
-            tweet_transmission(sink, node("u", 1))
 
 
 class TestEnumeratePaths:
@@ -147,8 +148,9 @@ class TestEnumeratePaths:
         for path in enumerate_paths(network):
             assert len(path.nodes) == network.ttl + 2
             assert len(set(path.nodes)) == len(path.nodes)
-            layers = [network.nodes[n].layer for n in path.nodes]
-            assert layers == [0, 1, 2, 3, None]
+            layers = [network.nodes[n].layer for n in path.nodes[:-1]]
+            assert layers == [0, 1, 2, 3]
+            assert path.nodes[-1] == network.sink_id
             assert path.path_tt == math.prod(path.edge_tt)
 
     @pytest.mark.parametrize("seed", [1, 7, 19, 35])
@@ -265,6 +267,21 @@ class TestCompareNetworks:
         assert result.by_influence_paths == 27
         assert result.by_followers_paths == 27
 
+    def test_huge_ttl_stops_when_the_network_stops_growing(self, tmp_path):
+        dataset = generate_synthetic(seed=7, accounts=30, max_followers=10)
+        root = max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
+        path = tmp_path / "synthetic.jsonl"
+        save_dataset(dataset, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "influence_tracker.cli", "compare", "--dataset", str(path),
+             "--root", root, "--ttl", "1000000000000000000", "--format", "json"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(influence_tracker.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        block = json.loads(proc.stdout)["results"][0]
+        assert block["by_influence"]["path_count"] == block["by_followers"]["path_count"] == 0
+
     def test_never_enumerates_paths(self, tree_dataset, monkeypatch):
         def refuse(network):
             raise AssertionError("compare_networks enumerated paths")
@@ -317,11 +334,12 @@ class TestDiffusionTotals:
 
     def test_only_layer_steps_that_reach_the_sink_count(self):
         network = fully_connected(k=2, ttl=3)
-        # root -> d1-0 -> d1-1 -> d3-0 is three hops but not one per layer
+        # root -> d1-0 -> d1-1 -> d3-0 is three hops but not one per layer;
+        # d3-0 -> d3-1 stays on the last layer
         network.edges |= {NetworkEdge("d1-0", "d1-1"), NetworkEdge("d1-1", "d3-0"),
-                          NetworkEdge("root", "d2-0"), NetworkEdge("d3-1", "d2-0")}
-        network.edges.discard(NetworkEdge("d3-1", "sink"))
+                          NetworkEdge("root", "d2-0"), NetworkEdge("d3-1", "d2-0"),
+                          NetworkEdge("d3-0", "d3-1")}
         paths = enumerate_paths(network)
         count, total = diffusion_totals(network)
-        assert count == len(paths) == 4
+        assert count == len(paths) == 8
         assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12

@@ -63,11 +63,15 @@ def reference_expansion(dataset, root, n_f, k, ttl, category, as_of):
 
 
 def network_layers_and_edges(network):
-    layers = {
-        n.account_id: n.layer for n in network.nodes.values() if n.layer is not None
-    }
-    edges = {(e.src, e.dst) for e in network.edges if e.dst != network.sink_id}
+    layers = {n.account_id: n.layer for n in network.nodes.values()}
+    edges = {(e.src, e.dst) for e in network.edges}
     return layers, edges
+
+
+def dumped_sink_edges(network):
+    """The (src, sink) edges of the network's dump."""
+    dump = network.to_dict()
+    return {(e["from"], e["to"]) for e in dump["edges"] if e["to"] == dump["sink_id"]}
 
 
 def influence_key(dataset):
@@ -145,11 +149,9 @@ class TestBuildNetwork:
         network = build_network(
             tree_dataset, "n0", n_f=50, k=3, ttl=3, category=RankingCategory.BY_FOLLOWERS, as_of=AS_OF
         )
-        non_sink = [n for n in network.nodes.values() if n.layer is not None]
-        assert len(non_sink) == 1 + 3 + 9 + 27
-        assert len(non_sink) <= 1 + 3 + 9 + 27  # budget bound at k=3, ttl=3
-        sink_edges = [e for e in network.edges if e.dst == network.sink_id]
-        assert len(sink_edges) == 27
+        assert len(network.nodes) == 1 + 3 + 9 + 27
+        assert len(network.nodes) <= 1 + 3 + 9 + 27  # budget bound at k=3, ttl=3
+        assert len(dumped_sink_edges(network)) == 27
 
     def test_minimal_chain(self):
         dataset = dataset_from_spec({
@@ -162,7 +164,7 @@ class TestBuildNetwork:
         layers, edges = network_layers_and_edges(network)
         assert layers == {"root": 0, "f": 1}
         assert edges == {("root", "f")}
-        assert {(e.src, e.dst) for e in network.edges if e.dst == network.sink_id} == {("f", network.sink_id)}
+        assert dumped_sink_edges(network) == {("f", network.sink_id)}
 
     @pytest.mark.parametrize("category", BOTH_CATEGORIES)
     def test_matches_recursive_reference(self, category):
@@ -212,20 +214,15 @@ class TestBuildNetwork:
         for e in network.edges:
             incoming.setdefault(e.dst, []).append(e.src)
         for node in network.nodes.values():
-            if node.layer in (None, 0):
+            if node.layer == 0:
                 continue
             parents = incoming.get(node.account_id, [])
-            assert any(
-                network.nodes[p].layer is not None and network.nodes[p].layer < node.layer
-                for p in parents
-            )
+            assert any(network.nodes[p].layer < node.layer for p in parents)
+        sink_edges = dumped_sink_edges(network)
         for node in network.nodes.values():
             if node.layer == network.ttl:
-                assert any(
-                    e.src == node.account_id and e.dst == network.sink_id
-                    for e in network.edges
-                )
-        assert not any(e.src == network.sink_id for e in network.edges)
+                assert (node.account_id, network.sink_id) in sink_edges
+        assert network.sink_id not in {e["from"] for e in network.to_dict()["edges"]}
 
     def test_budget_bound(self):
         dataset = generate_synthetic(seed=21, accounts=80, max_followers=25)
@@ -234,8 +231,7 @@ class TestBuildNetwork:
             network = build_network(
                 dataset, root, n_f=25, k=k, ttl=3, category=RankingCategory.BY_FOLLOWERS, as_of=AS_OF
             )
-            non_sink = sum(1 for n in network.nodes.values() if n.layer is not None)
-            assert non_sink <= 1 + k + k**2 + k**3
+            assert len(network.nodes) <= 1 + k + k**2 + k**3
 
     def test_deterministic(self):
         dataset = generate_synthetic(seed=17, accounts=40, max_followers=12)
@@ -252,7 +248,7 @@ class TestBuildNetwork:
             dataset, "loner", 10, 3, 3, RankingCategory.BY_INFLUENCE, AS_OF
         )
         assert network.is_degenerate
-        assert set(network.nodes) == {"loner", network.sink_id}
+        assert set(network.nodes) == {"loner"}
 
     def test_unknown_root(self):
         dataset = dataset_from_spec({"a": {}, "b": {}})
@@ -297,14 +293,14 @@ class TestScoreTable:
         dataset = generate_synthetic(seed=9, accounts=60, max_followers=20)
         root = max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
         network = build_network(dataset, root, self.N_F, self.K, self.TTL, category, AS_OF)
-        nodes = {n.account_id for n in network.nodes.values() if not n.is_sink}
+        nodes = set(network.nodes)
         return dataset, network, nodes
 
     def test_by_influence_scores_each_candidate_and_node_once(self, counted):
         dataset, network, nodes = self.build(RankingCategory.BY_INFLUENCE)
         candidates = {
             s.account_id
-            for n in network.nodes.values() if n.layer is not None and n.layer < self.TTL
+            for n in network.nodes.values() if n.layer < self.TTL
             for s in followers_of(dataset, n.account_id, self.N_F)
         }
         assert len(candidates - nodes) > 0
@@ -336,10 +332,14 @@ class TestExport:
             tree_dataset, "n0", 50, 3, 3, RankingCategory.BY_FOLLOWERS, AS_OF
         )
         dump = network.to_dict()
-        assert len(dump["nodes"]) == len(network.nodes)
-        assert len(dump["edges"]) == len(network.edges)
+        assert len(dump["nodes"]) == len(network.nodes) + 1
+        assert len(dump["edges"]) == len(network.edges) + 27
         keys = [(n["layer"] if n["layer"] is not None else 99, n["id"]) for n in dump["nodes"]]
         assert keys == sorted(keys)
-        assert dump["nodes"][-1]["id"] == network.sink_id
+        assert dump["nodes"][-1] == {"id": network.sink_id, "layer": None, "tcr": 0.0,
+                                     "retweet_prob": 0.0, "influence": 0.0, "followers_count": 0}
+        assert dumped_sink_edges(network) == {
+            (n.account_id, network.sink_id) for n in network.nodes.values() if n.layer == 3
+        }
         pairs = [(e["from"], e["to"]) for e in dump["edges"]]
         assert pairs == sorted(pairs)

@@ -277,6 +277,11 @@ class TestResolve:
         for query in ("a1", "Alice", "alice", "@ALICE"):
             assert dataset.resolve(query).account_id == "a1"
 
+    @pytest.mark.parametrize("query", ["@alice", "alice", "ALICE"])
+    def test_stored_handle_with_at_sign(self, tmp_path, query):
+        dataset = load_dataset(write_lines(tmp_path, account_line("a1", handle="@alice")))
+        assert dataset.resolve(query).account_id == "a1"
+
     def test_unknown_raises(self, tmp_path):
         dataset = load_dataset(write_lines(tmp_path, account_line("a1")))
         with pytest.raises(UnknownAccount):
