@@ -63,14 +63,14 @@ def cmd_score(args) -> int:
     explicit_as_of = _parse_as_of(args.as_of)
     dataset = load_dataset(args.dataset)
     as_of = explicit_as_of or dataset.captured_at
-    rows = score_rows(dataset, args.handles, as_of)
-    for row in rows:
-        if row.span_clamped:
+    scored = score_rows(dataset, args.handles, as_of)
+    for row, clamped in scored:
+        if clamped:
             print(
-                f"note: tweet window span of {row.handle} clamped to one second",
+                f"note: tweet window span of {row['handle']} clamped to one second",
                 file=sys.stderr,
             )
-    sys.stdout.write(render_score(rows, fmt, dataset.dataset_id, as_of))
+    sys.stdout.write(render_score([row for row, _ in scored], fmt, dataset.dataset_id, as_of))
     return 0
 
 

@@ -130,7 +130,7 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
                     )
         reached = ahead
     ends = [reached[n] for n in sorted(reached)]
-    return sum(count for count, _ in ends), sum(total for _, total in ends)
+    return sum(count for count, _ in ends), sum((total for _, total in ends), 0.0)
 
 
 def compare_networks(

@@ -1,8 +1,10 @@
 """Rendering of score and comparison reports as text, CSV, or JSON.
 
-Numeric formatting is fixed so diffs stay meaningful: text and CSV print
-three decimal places (text adds thousands separators), JSON carries full
-float precision.
+Each report is built once as JSON-ready rows. JSON prints those rows as
+they are, with full float precision; CSV and text print the same values
+through one table writer, which formats each cell by its type: a float
+gets three decimal places, text adds thousands separators to floats and
+ints, and a string prints unchanged.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from datetime import datetime
 
 from .diffusion import ComparisonResult
@@ -28,24 +29,11 @@ COMPARE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    handle: str
-    account_id: str
-    captured_at: datetime
-    influence: float
-    tcr: float
-    followers: int
-    following: int
-    retweet_h_last100: int
-    favorite_h_last100: int
-    retweet_h_daily: float
-    favorite_h_daily: float
-    span_clamped: bool
-
-
-def score_rows(dataset: SnapshotDataset, handles: list[str], as_of: datetime) -> list[ScoreRow]:
-    """One row per handle, sorted by influence descending then handle.
+def score_rows(
+    dataset: SnapshotDataset, handles: list[str], as_of: datetime
+) -> list[tuple[dict, bool]]:
+    """One (JSON row, window span clamped) pair per handle, sorted by
+    influence descending then handle.
 
     Stub accounts score zero across the board. Raises UnknownAccount for
     a handle that does not resolve.
@@ -55,94 +43,56 @@ def score_rows(dataset: SnapshotDataset, handles: list[str], as_of: datetime) ->
         account = dataset.resolve(handle)
         window = dataset.windows.get(account.account_id)
         score = influence_metric(account, window, as_of)
-        if window is not None:
-            h_report = h_index_report(window, as_of)
-            clamped = h_report.span_days <= EPSILON_DAYS
-        else:
-            h_report = None
-            clamped = False
-        rows.append(ScoreRow(
-            handle=account.handle,
-            account_id=account.account_id,
-            captured_at=account.captured_at,
-            influence=score.value,
-            tcr=score.tcr,
-            followers=account.followers_count,
-            following=account.following_count,
-            retweet_h_last100=h_report.retweet_h_last100 if h_report else 0,
-            favorite_h_last100=h_report.favorite_h_last100 if h_report else 0,
-            retweet_h_daily=h_report.retweet_h_daily if h_report else 0.0,
-            favorite_h_daily=h_report.favorite_h_daily if h_report else 0.0,
-            span_clamped=clamped,
-        ))
-    rows.sort(key=lambda r: (-r.influence, r.handle))
+        h_report = h_index_report(window, as_of) if window is not None else None
+        row = {
+            "handle": account.handle,
+            "account_id": account.account_id,
+            "captured_at": account.captured_at.isoformat(),
+            "influence": score.value,
+            "tcr": score.tcr,
+            "followers": account.followers_count,
+            "following": account.following_count,
+            "retweet_h_last100": h_report.retweet_h_last100 if h_report else 0,
+            "favorite_h_last100": h_report.favorite_h_last100 if h_report else 0,
+            "retweet_h_daily": h_report.retweet_h_daily if h_report else 0.0,
+            "favorite_h_daily": h_report.favorite_h_daily if h_report else 0.0,
+        }
+        rows.append((row, h_report is not None and h_report.span_days <= EPSILON_DAYS))
+    rows.sort(key=lambda pair: (-pair[0]["influence"], pair[0]["handle"]))
     return rows
 
 
-def _text_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _table(fmt: str, headers: tuple[str, ...], rows: list[list]) -> str:
+    """CSV rows, or a text table padded to its widest cell per column."""
+    sep = "," if fmt == "text" else ""
+    cells = [
+        [
+            f"{v:{sep}.3f}" if isinstance(v, float) else f"{v:{sep}d}" if isinstance(v, int) else v
+            for v in row
+        ]
+        for row in rows
+    ]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([headers, *cells])
+        return buffer.getvalue()
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in [headers, *cells]
+    )
 
 
-def _tf(value: float) -> str:
-    """Text float: three decimals, thousands separators."""
-    return f"{value:,.3f}"
-
-
-def _cf(value: float) -> str:
-    """CSV float: three decimals, no separators."""
-    return f"{value:.3f}"
-
-
-def render_score(rows: list[ScoreRow], fmt: str, dataset_id: str, as_of: datetime) -> str:
+def render_score(rows: list[dict], fmt: str, dataset_id: str, as_of: datetime) -> str:
     if fmt == "json":
         payload = {
             "command": "score",
             "dataset_id": dataset_id,
             "as_of": as_of.isoformat(),
-            "rows": [
-                {
-                    "handle": r.handle,
-                    "account_id": r.account_id,
-                    "captured_at": r.captured_at.isoformat(),
-                    "influence": r.influence,
-                    "tcr": r.tcr,
-                    "followers": r.followers,
-                    "following": r.following,
-                    "retweet_h_last100": r.retweet_h_last100,
-                    "favorite_h_last100": r.favorite_h_last100,
-                    "retweet_h_daily": r.retweet_h_daily,
-                    "favorite_h_daily": r.favorite_h_daily,
-                }
-                for r in rows
-            ],
+            "rows": rows,
         }
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(SCORE_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.handle, r.captured_at.isoformat(), _cf(r.influence), _cf(r.tcr),
-                r.followers, r.following, r.retweet_h_last100, r.favorite_h_last100,
-                _cf(r.retweet_h_daily), _cf(r.favorite_h_daily),
-            ])
-        return buffer.getvalue()
-    cells = [
-        [
-            r.handle, r.captured_at.isoformat(), _tf(r.influence), _tf(r.tcr),
-            f"{r.followers:,}", f"{r.following:,}", str(r.retweet_h_last100),
-            str(r.favorite_h_last100), _tf(r.retweet_h_daily), _tf(r.favorite_h_daily),
-        ]
-        for r in rows
-    ]
-    return _text_table(list(SCORE_COLUMNS), cells)
+    return _table(fmt, SCORE_COLUMNS, [[row[c] for c in SCORE_COLUMNS] for row in rows])
 
 
 def _winner_label(result: ComparisonResult) -> str:
@@ -155,7 +105,7 @@ def render_compare(
     dataset_id: str,
     root_handle: str,
     as_of: datetime,
-    dump_networks: bool = False,
+    dump_networks: bool,
 ) -> str:
     """Render (n_f, k, ttl, result) blocks; one block per budget config."""
     if fmt == "json":
@@ -190,27 +140,21 @@ def render_compare(
             "results": blocks,
         }
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(("followers_fetched", "top_k", "ttl") + COMPARE_COLUMNS)
-        for n_f, k, ttl, result in results:
-            writer.writerow([
-                n_f, k, ttl, root_handle,
-                _cf(result.by_influence_ttt), _cf(result.by_followers_ttt),
-                _cf(result.difference), _winner_label(result),
-                result.by_influence_paths,
-                result.by_followers_paths,
-            ])
-        return buffer.getvalue()
-    blocks = []
-    for n_f, k, ttl, result in results:
-        header = f"Followers = {n_f}, top-k users = {k}, TTL = {ttl}"
-        row = [
-            root_handle, _tf(result.by_influence_ttt), _tf(result.by_followers_ttt),
-            _tf(result.difference), _winner_label(result),
+    rows = [
+        [
+            n_f, k, ttl, root_handle,
+            result.by_influence_ttt, result.by_followers_ttt,
+            result.difference, _winner_label(result),
+            # Path counts as strings: text prints them without thousands separators.
             str(result.by_influence_paths),
             str(result.by_followers_paths),
         ]
-        blocks.append(header + "\n" + _text_table(list(COMPARE_COLUMNS), [row]))
-    return "\n".join(blocks)
+        for n_f, k, ttl, result in results
+    ]
+    if fmt == "csv":
+        return _table(fmt, ("followers_fetched", "top_k", "ttl") + COMPARE_COLUMNS, rows)
+    return "\n".join(
+        f"Followers = {row[0]}, top-k users = {row[1]}, TTL = {row[2]}\n"
+        + _table(fmt, COMPARE_COLUMNS, [row[3:]])
+        for row in rows
+    )

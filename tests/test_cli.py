@@ -1,4 +1,5 @@
 import json
+import shlex
 from importlib import resources
 from pathlib import Path
 
@@ -58,13 +59,30 @@ class TestScore:
             "id-z": {"handle": "zeta", "followers_count": 100, "following_count": 10},
             "id-a": {"handle": "alpha", "followers_count": 100, "following_count": 10},
             "id-b": {"handle": "beta", "followers_count": 99999, "following_count": 10},
+            "id-s": {"handle": "stub", "followers_count": 1234, "following_count": 0, "tweets": None},
         }
         path = tmp_path / "tie.jsonl"
         save_dataset(dataset_from_spec(spec), path)
-        code, out, _ = run(capsys, ["score", "--dataset", str(path), "zeta", "alpha", "beta"])
+        argv = ["score", "--dataset", str(path), "zeta", "stub", "alpha", "beta"]
+        code, out, _ = run(capsys, argv)
         assert code == 0
         handles = [line.split()[0] for line in out.splitlines()[1:]]
-        assert handles == ["beta", "alpha", "zeta"]
+        assert handles == ["beta", "alpha", "zeta", "stub"]
+        # A stub's counters print as ints and its rates as floats in every format.
+        assert out.splitlines()[-1].split() == [
+            "stub", "2023-05-01T00:00:00+00:00", "0.000", "0.000", "1,234", "0",
+            "0", "0", "0.000", "0.000",
+        ]
+        _, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert out.split("\r\n")[-2] == (
+            "stub,2023-05-01T00:00:00+00:00,0.000,0.000,1234,0,0,0,0.000,0.000"
+        )
+        _, out, _ = run(capsys, argv + ["--format", "json"])
+        row = json.loads(out)["rows"][-1]
+        assert [(row[c], type(row[c])) for c in SCORE_COLUMNS[2:]] == [
+            (0.0, float), (0.0, float), (1234, int), (0, int),
+            (0, int), (0, int), (0.0, float), (0.0, float),
+        ]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["score", "--dataset", REFERENCE, "--format", "csv", "SkaiGr"])
@@ -175,6 +193,37 @@ class TestCompare:
         assert block["winner"] == "tie"
         assert block["by_influence"]["ttt"] == 0.0
         assert block["by_followers"]["ttt"] == 0.0
+        totals = [block["by_influence"]["ttt"], block["by_followers"]["ttt"], block["difference"]]
+        assert [type(t) for t in totals] == [float, float, float]
+        _, out, _ = run(capsys, ["compare", "--dataset", str(path), "--root", "loner", "--format", "csv"])
+        assert out.split("\r\n")[1] == "50,3,3,loner,0.000,0.000,0.000,tie,0,0"
+        _, out, _ = run(capsys, ["compare", "--dataset", str(path), "--root", "loner"])
+        assert out.splitlines()[2].split() == ["loner", "0.000", "0.000", "0.000", "tie", "0", "0"]
+
+    def test_path_counts_print_without_separators(self, capsys, tmp_path):
+        # Root, then 4 layers of 6 accounts; every account follows every
+        # account of the layer above and every edge factor is 1, so each
+        # network has 6**4 paths and a total of 1296.0.
+        layers = [["root"]] + [[f"d{d}-{i}" for i in range(6)] for d in range(1, 5)]
+        spec = {
+            account_id: {
+                "follower_ids": tuple(below), "tweets": 10, "span_days": 2.0,
+                "retweet_fraction": 1.0,
+            }
+            for layer, below in zip(layers, layers[1:] + [[]])
+            for account_id in layer
+        }
+        path = tmp_path / "dense.jsonl"
+        save_dataset(dataset_from_spec(spec), path)
+        argv = ["compare", "--dataset", str(path), "--root", "root",
+                "--nf", "6", "--k", "6", "--ttl", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[2].split() == [
+            "root", "1,296.000", "1,296.000", "0.000", "tie", "1296", "1296",
+        ]
+        _, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert out.split("\r\n")[1] == "6,6,4,root,1296.000,1296.000,0.000,tie,1296,1296"
 
     def test_four_budget_blocks(self, capsys, synthetic_path, schema_validator):
         dataset = load_dataset(synthetic_path)
@@ -316,6 +365,21 @@ class TestExitCodes:
         code, _, err = run(capsys, ["score", "--dataset", REFERENCE, "x"])
         assert code == 3
         assert "internal error" in err
+
+
+class TestQuickStart:
+    def test_readme_quick_start_reproduces(self, capsys, tmp_path, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Quick start", 1)[1].split("```console\n", 1)[1].split("```", 1)[0]
+        commands = block.split("$ influence-tracker ")[1:]
+        assert len(commands) == 3
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("INFLUENCE_TRACKER_FORMAT", raising=False)
+        for command in commands:
+            argv, expected = command.split("\n", 1)
+            code, out, _ = run(capsys, shlex.split(argv))
+            assert code == 0
+            assert out == expected.rstrip("\n") + "\n", argv
 
 
 class TestDeterminism:
