@@ -32,7 +32,6 @@ from .metrics import (
 from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRecord, TweetWindow
 from .network import (
     LayeredNetwork,
-    NetworkEdge,
     NetworkNode,
     RankingCategory,
     build_network,
@@ -61,7 +60,6 @@ __all__ = [
     "InfluenceTrackerError",
     "LayeredNetwork",
     "MAX_WINDOW_SIZE",
-    "NetworkEdge",
     "NetworkNode",
     "ParseError",
     "RankingCategory",

@@ -1,7 +1,7 @@
 """Command-line front door: score accounts, compare networks, generate data.
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse failures,
-unknown accounts), 3 internal error. The default output format comes from
+unknown accounts, networks too large to total), 3 internal error. The default output format comes from
 the INFLUENCE_TRACKER_FORMAT environment variable (text, csv, or json);
 an explicit --format wins.
 """
@@ -16,7 +16,7 @@ from datetime import datetime
 from .diffusion import compare_networks
 from .errors import InfluenceTrackerError
 from .reports import render_compare, render_score, score_rows
-from .store import generate_synthetic, load_dataset, parse_timestamp, save_dataset
+from .store import followers_of, generate_synthetic, load_dataset, parse_timestamp, save_dataset
 
 FORMATS = ("text", "csv", "json")
 FORMAT_ENV_VAR = "INFLUENCE_TRACKER_FORMAT"
@@ -98,16 +98,18 @@ def cmd_compare(args) -> int:
     as_of = explicit_as_of or dataset.captured_at
     root = dataset.resolve(args.root)
 
-    results = []
-    for n_f, k in configs:
-        result = compare_networks(dataset, root.account_id, n_f, k, args.ttl, as_of)
-        if result.by_influence_network.is_degenerate and result.by_followers_network.is_degenerate:
-            print(
-                f"warning: root {root.handle} has no resolvable followers; "
-                "both networks are empty",
-                file=sys.stderr,
-            )
-        results.append((n_f, k, args.ttl, result))
+    # With n_f >= k >= 1, both networks of every budget are empty exactly
+    # when the root has no resolvable follower (it never follows itself).
+    if not followers_of(dataset, root.account_id, 1):
+        print(
+            f"warning: root {root.handle} has no resolvable followers; "
+            "both networks are empty",
+            file=sys.stderr,
+        )
+    results = [
+        (n_f, k, args.ttl, compare_networks(dataset, root.account_id, n_f, k, args.ttl, as_of))
+        for n_f, k in configs
+    ]
     sys.stdout.write(render_compare(
         results, fmt, dataset.dataset_id, root.handle, as_of,
         dump_networks=args.dump_networks,

@@ -11,9 +11,11 @@ the network with the larger total spreads information further.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 
+from .errors import DatasetError
 from .network import LayeredNetwork, NetworkNode, RankingCategory, build_network
 from .store import SnapshotDataset
 
@@ -64,9 +66,9 @@ def enumerate_paths(network: LayeredNetwork) -> list[TransmissionPath]:
     """All root-to-sink paths whose layers strictly step 0, 1, ..., ttl, sink.
 
     Every chain reaching layer ttl reaches the sink, whose id ends its nodes.
-    Edges that stay within a layer, skip layers, or point back up are never
-    traversed. Paths come out in lexicographic node-id order. An empty list
-    means the network has no complete chain (degenerate or truncated).
+    Chains follow ``network.successors()``, its steps into the next layer.
+    Paths come out in lexicographic node-id order. An empty list means the
+    network has no complete chain (degenerate or truncated).
     """
     nodes = network.nodes
     adjacency = network.successors()
@@ -86,8 +88,7 @@ def enumerate_paths(network: LayeredNetwork) -> list[TransmissionPath]:
             ))
             return
         for succ in adjacency[chain[-1]]:
-            if nodes[succ].layer == depth + 1:
-                walk(chain + [succ])
+            walk(chain + [succ])
 
     if network.root in nodes:
         walk([network.root])
@@ -105,8 +106,8 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
 
     Each node reached on layer d carries the number of chains root, layer 1,
     ..., layer d that end at it and the sum of their products; following
-    only edges into layer d+1 extends all of them at once. The totals are
-    those of the nodes reached at depth ttl. Nodes and successors are
+    its successors into layer d+1 extends all of them at once. The totals
+    are those of the nodes reached at depth ttl. Nodes and successors are
     visited in sorted order, so the summation order never depends on hashing.
     Costs O(nodes + edges) where enumeration costs O(k^ttl).
     """
@@ -115,19 +116,18 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
         return 0, 0.0
     adjacency = network.successors()
     reached = {network.root: (1, 1.0)}
-    for depth in range(1, network.ttl + 1):
+    for _ in range(network.ttl):
         if not reached:
             break
         ahead: dict[str, tuple[int, float]] = {}
         for src in sorted(reached):
             count, total = reached[src]
             for dst in adjacency[src]:
-                if nodes[dst].layer == depth:
-                    dst_count, dst_total = ahead.get(dst, (0, 0.0))
-                    ahead[dst] = (
-                        dst_count + count,
-                        dst_total + total * tweet_transmission(nodes[src], nodes[dst]),
-                    )
+                dst_count, dst_total = ahead.get(dst, (0, 0.0))
+                ahead[dst] = (
+                    dst_count + count,
+                    dst_total + total * tweet_transmission(nodes[src], nodes[dst]),
+                )
         reached = ahead
     ends = [reached[n] for n in sorted(reached)]
     return sum(count for count, _ in ends), sum((total for _, total in ends), 0.0)
@@ -145,15 +145,22 @@ def compare_networks(
 
     The difference is by-influence minus by-followers; its sign picks the
     winner unless the totals are within TIE_TOLERANCE of each other.
+    Raises DatasetError when a network has more paths than a float can
+    hold or a total that is not finite: neither can be compared.
     """
-    influence_net = build_network(
-        dataset, root, n_f, k, ttl, RankingCategory.BY_INFLUENCE, as_of
-    )
-    followers_net = build_network(
-        dataset, root, n_f, k, ttl, RankingCategory.BY_FOLLOWERS, as_of
-    )
-    influence_paths, influence_ttt = diffusion_totals(influence_net)
-    followers_paths, followers_ttt = diffusion_totals(followers_net)
+    built = {}
+    for category in RankingCategory:
+        network = build_network(dataset, root, n_f, k, ttl, category, as_of)
+        paths, ttt = diffusion_totals(network)
+        # The count is never formatted: str() of an int past 4,300 digits raises.
+        if paths > sys.float_info.max or not math.isfinite(ttt):
+            raise DatasetError(
+                f"the {category.value} network for n_f={n_f}, k={k}, ttl={ttl} "
+                "has too many paths to total"
+            )
+        built[category] = network, paths, ttt
+    influence_net, influence_paths, influence_ttt = built[RankingCategory.BY_INFLUENCE]
+    followers_net, followers_paths, followers_ttt = built[RankingCategory.BY_FOLLOWERS]
     difference = influence_ttt - followers_ttt
     if abs(difference) < TIE_TOLERANCE:
         winner = None

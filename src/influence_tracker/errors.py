@@ -20,7 +20,7 @@ class AccountMismatch(InfluenceTrackerError):
 
 
 class DatasetError(InfluenceTrackerError):
-    """Base class for dataset-file and lookup failures (CLI exit code 2)."""
+    """Base class for dataset-file, lookup and too-large-network failures (exit code 2)."""
 
 
 class ParseError(DatasetError):

@@ -46,27 +46,19 @@ class NetworkNode:
     followers_count: int
 
 
-@dataclass(frozen=True)
-class NetworkEdge:
-    """Directed follow edge: ``dst`` follows ``src``, tweets flow src -> dst."""
-
-    src: str
-    dst: str
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"self-edge on {self.src!r}")
-
-
 @dataclass
 class LayeredNetwork:
-    """A rooted, layer-annotated follower graph under one category."""
+    """A rooted, layer-annotated follower graph under one category.
+
+    ``edges`` holds ``(src, dst)`` account-id pairs: ``dst`` follows
+    ``src``, so tweets flow src -> dst.
+    """
 
     root: str
     category: RankingCategory
     ttl: int
     nodes: dict[str, NetworkNode] = field(default_factory=dict)
-    edges: set[NetworkEdge] = field(default_factory=set)
+    edges: set[tuple[str, str]] = field(default_factory=set)
 
     @property
     def sink_id(self) -> str:
@@ -76,16 +68,15 @@ class LayeredNetwork:
             sink_id += "_"
         return sink_id
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the root has no selected followers at all."""
-        return not any(n.layer == 1 for n in self.nodes.values())
-
     def successors(self) -> dict[str, list[str]]:
-        """Adjacency map with deterministically sorted out-neighbour lists."""
-        adj: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
-        for edge in self.edges:
-            adj[edge.src].append(edge.dst)
+        """Each node's sorted steps into the next layer: the only edges that
+        carry a tweet. Edges within a layer, skipping layers or pointing back
+        up are left out."""
+        nodes = self.nodes
+        adj: dict[str, list[str]] = {node_id: [] for node_id in nodes}
+        for src, dst in self.edges:
+            if nodes[dst].layer == nodes[src].layer + 1:
+                adj[src].append(dst)
         for targets in adj.values():
             targets.sort()
         return adj
@@ -99,7 +90,7 @@ class LayeredNetwork:
         the sink's record last and an edge into it from each layer-ttl node."""
         sink_id = self.sink_id
         nodes = self.sorted_nodes()
-        edges = [(e.src, e.dst) for e in self.edges]
+        edges = list(self.edges)
         edges += [(n.account_id, sink_id) for n in nodes if n.layer == self.ttl]
         return {
             "root": self.root,
@@ -212,7 +203,7 @@ def build_network(
             for selected in rank_followers(followers_of(dataset, parent, n_f), key, k):
                 if selected == root:
                     continue
-                network.edges.add(NetworkEdge(src=parent, dst=selected))
+                network.edges.add((parent, selected))
                 if selected not in network.nodes:
                     network.nodes[selected] = node_for(selected, layer + 1)
                     next_frontier.append(selected)

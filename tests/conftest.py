@@ -110,6 +110,17 @@ def complete_tree_spec(branching: int = 3, depth: int = 3, **account_kwargs) -> 
     return spec
 
 
+def layered_spec(depth: int, width: int, **account_kwargs) -> dict[str, dict]:
+    """A root, then ``depth`` layers of ``width`` accounts, each following
+    every account of the layer above. Ids are 'root', then 'd<layer>-<i>'."""
+    layers = [["root"]] + [[f"d{d}-{i}" for i in range(width)] for d in range(1, depth + 1)]
+    return {
+        account_id: dict(account_kwargs, follower_ids=tuple(below))
+        for layer, below in zip(layers, layers[1:] + [[]])
+        for account_id in layer
+    }
+
+
 @pytest.fixture
 def tree_dataset() -> SnapshotDataset:
     """Complete 3-ary, 3-layer tree; every edge transmission factor is 1."""

@@ -10,7 +10,7 @@ from influence_tracker import generate_synthetic, load_dataset, save_dataset
 from influence_tracker.cli import main
 from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS
 
-from conftest import dataset_from_spec
+from conftest import dataset_from_spec, layered_spec
 from test_store import OUT_OF_RANGE, header_account_tweet
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -199,20 +199,19 @@ class TestCompare:
         assert out.split("\r\n")[1] == "50,3,3,loner,0.000,0.000,0.000,tie,0,0"
         _, out, _ = run(capsys, ["compare", "--dataset", str(path), "--root", "loner"])
         assert out.splitlines()[2].split() == ["loner", "0.000", "0.000", "0.000", "tie", "0", "0"]
+        code, _, err = run(capsys, [
+            "compare", "--dataset", str(path), "--root", "loner", "--nf", "20,40", "--k", "3,5",
+        ])
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: root loner has no resolvable followers; both networks are empty",
+        ]
 
     def test_path_counts_print_without_separators(self, capsys, tmp_path):
         # Root, then 4 layers of 6 accounts; every account follows every
         # account of the layer above and every edge factor is 1, so each
         # network has 6**4 paths and a total of 1296.0.
-        layers = [["root"]] + [[f"d{d}-{i}" for i in range(6)] for d in range(1, 5)]
-        spec = {
-            account_id: {
-                "follower_ids": tuple(below), "tweets": 10, "span_days": 2.0,
-                "retweet_fraction": 1.0,
-            }
-            for layer, below in zip(layers, layers[1:] + [[]])
-            for account_id in layer
-        }
+        spec = layered_spec(4, 6, tweets=10, span_days=2.0, retweet_fraction=1.0)
         path = tmp_path / "dense.jsonl"
         save_dataset(dataset_from_spec(spec), path)
         argv = ["compare", "--dataset", str(path), "--root", "root",
@@ -346,6 +345,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("retweet_fraction", [1.0, 0.0], ids=["infinite-total", "zero-total"])
+    def test_network_too_large_to_total_exits_2(self, capsys, tmp_path, retweet_fraction):
+        # 1,100 layers of 2, every edge factor equal: 2**1100 paths, whose
+        # total overflows to inf with retweets and is 0.0 without.
+        path = tmp_path / "ladder.jsonl"
+        spec = layered_spec(1100, 2, tweets=10, span_days=2.0, retweet_fraction=retweet_fraction)
+        save_dataset(dataset_from_spec(spec), path)
+        code, out, err = run(capsys, [
+            "compare", "--dataset", str(path), "--root", "root",
+            "--nf", "2", "--k", "2", "--ttl", "1100", "--format", "json",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the by_influence network for n_f=2, k=2, ttl=1100 "
+                       "has too many paths to total\n")
 
     def test_missing_subcommand_exits_1(self, capsys):
         code, _, _ = run(capsys, [])

@@ -11,8 +11,8 @@ import pytest
 
 import influence_tracker.diffusion
 from influence_tracker import (
+    DatasetError,
     LayeredNetwork,
-    NetworkEdge,
     NetworkNode,
     RankingCategory,
     UnknownAccount,
@@ -26,7 +26,7 @@ from influence_tracker import (
     tweet_transmission,
 )
 
-from conftest import AS_OF, dataset_from_spec
+from conftest import AS_OF, dataset_from_spec, layered_spec
 
 
 def node(account_id, layer, tcr=1.0, rt=0.5):
@@ -88,8 +88,15 @@ def fully_connected(k, ttl, seed=0):
         for account_id in ids:
             network.nodes[account_id] = node(account_id, depth, tcr=rng.uniform(0.5, 5.0), rt=rng.random())
     for upper, lower in zip(layers, layers[1:]):
-        network.edges.update(NetworkEdge(src, dst) for src in upper for dst in lower)
+        network.edges.update((src, dst) for src in upper for dst in lower)
     return network
+
+
+# Edges fully_connected(k=2, ttl=3) lacks that carry no tweet: root -> d1-0
+# -> d1-1 -> d3-0 is three hops but not one per layer, root -> d2-0 skips a
+# layer, d3-1 -> d2-0 points back up and d3-0 -> d3-1 stays on the last layer.
+STRAY_EDGES = {("d1-0", "d1-1"), ("d1-1", "d3-0"), ("root", "d2-0"), ("d3-1", "d2-0"),
+               ("d3-0", "d3-1")}
 
 
 def relative_gap(got, want):
@@ -174,7 +181,7 @@ class TestEnumeratePaths:
             "c": {},
         })
         network = build_network(dataset, "root", 10, 2, 2, RankingCategory.BY_FOLLOWERS, AS_OF)
-        assert any(e.src == "b2" and e.dst == "b1" for e in network.edges)
+        assert ("b2", "b1") in network.edges
         for path in enumerate_paths(network):
             assert ("b2", "b1") not in list(zip(path.nodes, path.nodes[1:]))
 
@@ -282,6 +289,16 @@ class TestCompareNetworks:
         block = json.loads(proc.stdout)["results"][0]
         assert block["by_influence"]["path_count"] == block["by_followers"]["path_count"] == 0
 
+    def test_path_count_past_float_range_refused(self):
+        # 1,100 layers of 2: 2**1100 paths, past sys.float_info.max, though
+        # no account retweets and the total is 0.0
+        dataset = dataset_from_spec(layered_spec(1100, 2, retweet_fraction=0.0))
+        assert diffusion_totals(build_network(
+            dataset, "root", 2, 2, 1100, RankingCategory.BY_FOLLOWERS, AS_OF
+        )) == (2**1100, 0.0)
+        with pytest.raises(DatasetError, match="by_influence network for n_f=2, k=2, ttl=1100"):
+            compare_networks(dataset, "root", 2, 2, 1100, AS_OF)
+
     def test_never_enumerates_paths(self, tree_dataset, monkeypatch):
         def refuse(network):
             raise AssertionError("compare_networks enumerated paths")
@@ -334,12 +351,22 @@ class TestDiffusionTotals:
 
     def test_only_layer_steps_that_reach_the_sink_count(self):
         network = fully_connected(k=2, ttl=3)
-        # root -> d1-0 -> d1-1 -> d3-0 is three hops but not one per layer;
-        # d3-0 -> d3-1 stays on the last layer
-        network.edges |= {NetworkEdge("d1-0", "d1-1"), NetworkEdge("d1-1", "d3-0"),
-                          NetworkEdge("root", "d2-0"), NetworkEdge("d3-1", "d2-0"),
-                          NetworkEdge("d3-0", "d3-1")}
+        network.edges |= STRAY_EDGES
         paths = enumerate_paths(network)
         count, total = diffusion_totals(network)
         assert count == len(paths) == 8
         assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12
+
+
+class TestSuccessors:
+    def test_only_steps_into_the_next_layer(self):
+        network = fully_connected(k=2, ttl=3)
+        want = network.successors()
+        assert want == {
+            "root": ["d1-0", "d1-1"],
+            "d1-0": ["d2-0", "d2-1"], "d1-1": ["d2-0", "d2-1"],
+            "d2-0": ["d3-0", "d3-1"], "d2-1": ["d3-0", "d3-1"],
+            "d3-0": [], "d3-1": [],
+        }
+        network.edges |= STRAY_EDGES
+        assert network.successors() == want
