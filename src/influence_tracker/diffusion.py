@@ -34,21 +34,19 @@ class TransmissionPath:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """The two rival networks' totals, their signed gap, and the winner.
+    """Each category's network, path count and total, their signed gap,
+    and the winner.
 
-    ``winner`` is None for a tie (totals within TIE_TOLERANCE). The path
-    counts and networks are retained so callers can show them or dump the
-    graphs without rebuilding.
+    The three dicts are keyed in RankingCategory order. ``winner`` is None
+    for a tie (totals within TIE_TOLERANCE). The networks are retained so
+    callers can dump the graphs without rebuilding.
     """
 
-    by_influence_ttt: float
-    by_followers_ttt: float
+    networks: dict[RankingCategory, LayeredNetwork]
+    paths: dict[RankingCategory, int]
+    ttt: dict[RankingCategory, float]
     difference: float
     winner: RankingCategory | None
-    by_influence_paths: int
-    by_followers_paths: int
-    by_influence_network: LayeredNetwork
-    by_followers_network: LayeredNetwork
 
 
 def tweet_transmission(upstream: NetworkNode, downstream: NetworkNode) -> float:
@@ -148,33 +146,21 @@ def compare_networks(
     Raises DatasetError when a network has more paths than a float can
     hold or a total that is not finite: neither can be compared.
     """
-    built = {}
+    networks, paths, ttt = {}, {}, {}
     for category in RankingCategory:
-        network = build_network(dataset, root, n_f, k, ttl, category, as_of)
-        paths, ttt = diffusion_totals(network)
+        networks[category] = build_network(dataset, root, n_f, k, ttl, category, as_of)
+        paths[category], ttt[category] = diffusion_totals(networks[category])
         # The count is never formatted: str() of an int past 4,300 digits raises.
-        if paths > sys.float_info.max or not math.isfinite(ttt):
+        if paths[category] > sys.float_info.max or not math.isfinite(ttt[category]):
             raise DatasetError(
                 f"the {category.value} network for n_f={n_f}, k={k}, ttl={ttl} "
                 "has too many paths to total"
             )
-        built[category] = network, paths, ttt
-    influence_net, influence_paths, influence_ttt = built[RankingCategory.BY_INFLUENCE]
-    followers_net, followers_paths, followers_ttt = built[RankingCategory.BY_FOLLOWERS]
-    difference = influence_ttt - followers_ttt
+    difference = ttt[RankingCategory.BY_INFLUENCE] - ttt[RankingCategory.BY_FOLLOWERS]
     if abs(difference) < TIE_TOLERANCE:
         winner = None
     elif difference > 0:
         winner = RankingCategory.BY_INFLUENCE
     else:
         winner = RankingCategory.BY_FOLLOWERS
-    return ComparisonResult(
-        by_influence_ttt=influence_ttt,
-        by_followers_ttt=followers_ttt,
-        difference=difference,
-        winner=winner,
-        by_influence_paths=influence_paths,
-        by_followers_paths=followers_paths,
-        by_influence_network=influence_net,
-        by_followers_network=followers_net,
-    )
+    return ComparisonResult(networks, paths, ttt, difference, winner)

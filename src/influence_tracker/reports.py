@@ -115,22 +115,16 @@ def render_compare(
                 "followers_fetched": n_f,
                 "top_k": k,
                 "ttl": ttl,
-                "by_influence": {
-                    "ttt": result.by_influence_ttt,
-                    "path_count": result.by_influence_paths,
-                },
-                "by_followers": {
-                    "ttt": result.by_followers_ttt,
-                    "path_count": result.by_followers_paths,
-                },
-                "difference": result.difference,
-                "winner": _winner_label(result),
             }
-            if dump_networks:
-                block["networks"] = {
-                    "by_influence": result.by_influence_network.to_dict(),
-                    "by_followers": result.by_followers_network.to_dict(),
+            for category, ttt in result.ttt.items():
+                block[category.value] = {
+                    "ttt": ttt,
+                    "path_count": result.paths[category],
                 }
+            block["difference"] = result.difference
+            block["winner"] = _winner_label(result)
+            if dump_networks:
+                block["networks"] = {c.value: n.to_dict() for c, n in result.networks.items()}
             blocks.append(block)
         payload = {
             "command": "compare",
@@ -143,11 +137,10 @@ def render_compare(
     rows = [
         [
             n_f, k, ttl, root_handle,
-            result.by_influence_ttt, result.by_followers_ttt,
+            *result.ttt.values(),
             result.difference, _winner_label(result),
             # Path counts as strings: text prints them without thousands separators.
-            str(result.by_influence_paths),
-            str(result.by_followers_paths),
+            *map(str, result.paths.values()),
         ]
         for n_f, k, ttl, result in results
     ]

@@ -12,7 +12,8 @@ below 2**63, never a float or a boolean. Lines starting with "#" are
 comments. Accounts must precede their tweets; otherwise line order is
 free. Every other line becomes a record or raises ParseError with its
 line number: bytes that are not UTF-8, invalid JSON, unknown kinds,
-missing or mistyped fields, duplicate accounts or tweet ids, tweets
+missing or mistyped fields, duplicate accounts or tweet ids, handles
+that match an earlier account's handle (see ``_handle_key``), tweets
 without a preceding account record, and invariant violations.
 
 An account with counters but no tweets is a *stub*: a frontier account
@@ -48,13 +49,19 @@ _FIELDS = {
 _PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "booleans"}
 
 
+def _handle_key(handle: str) -> str:
+    """What a handle matches by: case-insensitive, leading "@" optional."""
+    return handle.lstrip("@").casefold()
+
+
 @dataclass
 class SnapshotDataset:
     """All accounts and tweet windows captured in one snapshot.
 
-    Immutable by convention after load/generation. ``windows`` holds at
-    most one window per account, and only for accounts present in
-    ``accounts``.
+    Not changed after load/generation, except for the private lookups
+    below. ``windows`` holds at most one window per account, and only for
+    accounts present in ``accounts``. A loaded dataset has no two handles
+    with the same ``_handle_key``.
 
     Two private lookups are filled lazily from those two dicts: each
     account's sorted resolvable follower ids (filled per account by
@@ -84,9 +91,9 @@ class SnapshotDataset:
         if self._by_handle is None:
             by_handle: dict[str, list[AccountSnapshot]] = {}
             for account in self.accounts.values():
-                by_handle.setdefault(account.handle.lstrip("@").casefold(), []).append(account)
+                by_handle.setdefault(_handle_key(account.handle), []).append(account)
             self._by_handle = by_handle
-        matches = self._by_handle.get(handle_or_id.lstrip("@").casefold(), [])
+        matches = self._by_handle.get(_handle_key(handle_or_id), [])
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:
@@ -137,6 +144,7 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     """
     path = Path(path)
     accounts: dict[str, AccountSnapshot] = {}
+    handle_owners: dict[str, str] = {}
     tweets: dict[str, dict[str, TweetRecord]] = {}
 
     with path.open("rb") as fh:
@@ -166,6 +174,10 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                     )
                 except ValueError as exc:
                     raise ParseError(line_no, f"bad account record: {exc}") from None
+                owner = handle_owners.setdefault(_handle_key(record["handle"]), account_id)
+                if owner != account_id:
+                    raise ParseError(line_no, f"handle {record['handle']!r} clashes with "
+                                     f"the handle of account {owner!r}")
                 tweets[account_id] = {}
                 continue
             tweet_id, author_id = record["id"], record["author_id"]

@@ -222,10 +222,10 @@ def test_category_divergence_when_big_accounts_idle():
         })
         first = compare_networks(dataset, "root", 10, 1, 3, AS_OF)
         second = compare_networks(dataset, "root", 10, 1, 3, AS_OF)
-        assert first.by_influence_ttt > first.by_followers_ttt
+        assert first.ttt[RankingCategory.BY_INFLUENCE] > first.ttt[RankingCategory.BY_FOLLOWERS]
         assert first.winner is RankingCategory.BY_INFLUENCE
-        assert (first.by_influence_ttt, first.by_followers_ttt) == (
-            second.by_influence_ttt, second.by_followers_ttt
+        assert (first.ttt[RankingCategory.BY_INFLUENCE], first.ttt[RankingCategory.BY_FOLLOWERS]) == (
+            second.ttt[RankingCategory.BY_INFLUENCE], second.ttt[RankingCategory.BY_FOLLOWERS]
         )
         assert time.perf_counter() - start < 1.0
 
@@ -237,8 +237,8 @@ def test_totals_escalate_with_budget():
         by_influence, by_followers = [], []
         for n_f, k in BUDGETS:
             result = compare_networks(dataset, root, n_f, k, 3, dataset.captured_at)
-            by_influence.append(result.by_influence_ttt)
-            by_followers.append(result.by_followers_ttt)
+            by_influence.append(result.ttt[RankingCategory.BY_INFLUENCE])
+            by_followers.append(result.ttt[RankingCategory.BY_FOLLOWERS])
         assert all(a <= b for a, b in zip(by_influence, by_influence[1:])), by_influence
         assert all(a <= b for a, b in zip(by_followers, by_followers[1:])), by_followers
 

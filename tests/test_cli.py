@@ -159,7 +159,7 @@ class TestScore:
 
 class TestCompare:
     def test_matches_engine(self, capsys, synthetic_path):
-        from influence_tracker import compare_networks
+        from influence_tracker import RankingCategory, compare_networks
         dataset = load_dataset(synthetic_path)
         root = sorted(dataset.accounts)[0]
         expected = compare_networks(dataset, root, 10, 3, 3, dataset.captured_at)
@@ -169,8 +169,8 @@ class TestCompare:
         ])
         assert code == 0
         block = json.loads(out)["results"][0]
-        assert block["by_influence"]["ttt"] == expected.by_influence_ttt
-        assert block["by_followers"]["ttt"] == expected.by_followers_ttt
+        assert block["by_influence"]["ttt"] == expected.ttt[RankingCategory.BY_INFLUENCE]
+        assert block["by_followers"]["ttt"] == expected.ttt[RankingCategory.BY_FOLLOWERS]
         assert block["difference"] == expected.difference
 
     def test_text_mirrors_comparison_columns(self, capsys, synthetic_path):
@@ -284,6 +284,34 @@ class TestCompare:
         assert message in err
 
 
+class TestJsonLayout:
+    def test_compare_key_order(self, capsys, synthetic_path):
+        code, out, _ = run(capsys, [
+            "compare", "--dataset", synthetic_path, "--root", "acct-00000",
+            "--nf", "10", "--format", "json", "--dump-networks",
+        ])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["command", "dataset_id", "root", "as_of", "results"]
+        block = doc["results"][0]
+        assert list(block) == [
+            "followers_fetched", "top_k", "ttl", "by_influence", "by_followers",
+            "difference", "winner", "networks",
+        ]
+        assert list(block["by_influence"]) == list(block["by_followers"]) == ["ttt", "path_count"]
+        assert list(block["networks"]) == ["by_influence", "by_followers"]
+
+    def test_score_key_order(self, capsys):
+        code, out, _ = run(capsys, ["score", "--dataset", REFERENCE, "--format", "json", "SkaiGr"])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["command", "dataset_id", "as_of", "rows"]
+        assert list(doc["rows"][0]) == [
+            "handle", "account_id", "captured_at", "influence", "tcr", "followers", "following",
+            "retweet_h_last100", "favorite_h_last100", "retweet_h_daily", "favorite_h_daily",
+        ]
+
+
 class TestGen:
     def test_byte_identical_for_same_seed(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -346,6 +374,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff")
 
+    def test_handle_case_clash_exits_2_naming_its_line(self, capsys, tmp_path):
+        path = tmp_path / "clash.jsonl"
+        save_dataset(dataset_from_spec({"a1": {"handle": "Alice", "tweets": None}, "b1": {"handle": "ALICE"}}), path)
+        # Querying by id never touches the handles, yet the file is refused.
+        for command in (["score", "--dataset", str(path), "a1"], ["compare", "--dataset", str(path), "--root", "a1"]):
+            code, out, err = run(capsys, command)
+            assert code == 2
+            assert out == ""
+            assert err == "error: line 2: handle 'ALICE' clashes with the handle of account 'a1'\n"
+
     @pytest.mark.parametrize("retweet_fraction", [1.0, 0.0], ids=["infinite-total", "zero-total"])
     def test_network_too_large_to_total_exits_2(self, capsys, tmp_path, retweet_fraction):
         # 1,100 layers of 2, every edge factor equal: 2**1100 paths, whose
@@ -395,6 +433,16 @@ class TestQuickStart:
             code, out, _ = run(capsys, shlex.split(argv))
             assert code == 0
             assert out == expected.rstrip("\n") + "\n", argv
+
+    def test_readme_library_use_runs(self, capsys, tmp_path, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        gen = readme.split("## Quick start", 1)[1].split("$ influence-tracker ", 1)[1].split("\n", 1)[0]
+        code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, shlex.split(gen))[0] == 0
+        exec(code, {})
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:3]] == ["by_influence", "by_followers"]
 
 
 class TestDeterminism:

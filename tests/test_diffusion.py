@@ -247,7 +247,7 @@ class TestCompareNetworks:
         result = compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF)
         assert result.difference == 0.0
         assert result.winner is None
-        assert result.by_influence_ttt == result.by_followers_ttt == 27.0
+        assert result.ttt[RankingCategory.BY_INFLUENCE] == result.ttt[RankingCategory.BY_FOLLOWERS] == 27.0
 
     def test_silent_big_accounts_lose(self):
         # the highest-follower followers never tweet, so ranking by raw
@@ -260,8 +260,8 @@ class TestCompareNetworks:
             "s3": {"followers_count": 80, "retweet_fraction": 0.5},
         })
         result = compare_networks(dataset, "root", 10, 1, 3, AS_OF)
-        assert result.by_influence_ttt == pytest.approx(0.125)
-        assert result.by_followers_ttt == 0.0
+        assert result.ttt[RankingCategory.BY_INFLUENCE] == pytest.approx(0.125)
+        assert result.ttt[RankingCategory.BY_FOLLOWERS] == 0.0
         assert result.winner is RankingCategory.BY_INFLUENCE
         assert result.difference == pytest.approx(0.125)
 
@@ -271,8 +271,8 @@ class TestCompareNetworks:
 
     def test_reports_carry_path_counts(self, tree_dataset):
         result = compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF)
-        assert result.by_influence_paths == 27
-        assert result.by_followers_paths == 27
+        assert result.paths[RankingCategory.BY_INFLUENCE] == 27
+        assert result.paths[RankingCategory.BY_FOLLOWERS] == 27
 
     def test_huge_ttl_stops_when_the_network_stops_growing(self, tmp_path):
         dataset = generate_synthetic(seed=7, accounts=30, max_followers=10)
@@ -304,7 +304,7 @@ class TestCompareNetworks:
             raise AssertionError("compare_networks enumerated paths")
 
         monkeypatch.setattr(influence_tracker.diffusion, "enumerate_paths", refuse)
-        assert compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF).by_influence_ttt == 27.0
+        assert compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF).ttt[RankingCategory.BY_INFLUENCE] == 27.0
 
 
 class TestDiffusionTotals:

@@ -287,14 +287,25 @@ class TestResolve:
         with pytest.raises(UnknownAccount):
             dataset.resolve("nobody")
 
-    def test_case_clash_fails_only_when_queried(self, tmp_path):
+    @pytest.mark.parametrize("clash", ["ALICE", "@alice", "@@Alice"])
+    def test_case_clash_fails_at_load(self, tmp_path, clash):
         path = write_lines(
             tmp_path,
             account_line("a1", handle="Alice"),
-            account_line("a2", handle="ALICE"),
             account_line("b1", handle="Bob"),
+            account_line("a2", handle=clash),
         )
-        dataset = load_dataset(path)
+        message = f"handle '{clash}' clashes with the handle of account 'a1'"
+        with pytest.raises(ParseError, match=message) as info:
+            load_dataset(path)
+        assert info.value.line_no == 3
+
+    def test_clash_in_a_built_dataset_fails_only_when_queried(self):
+        dataset = dataset_from_spec({
+            "a1": {"handle": "Alice"},
+            "a2": {"handle": "ALICE"},
+            "b1": {"handle": "Bob"},
+        }, dataset_id="dataset")
         assert dataset.resolve("@bob").account_id == "b1"
         assert dataset.resolve("a2").account_id == "a2"
         with pytest.raises(UnknownAccount, match="handle '@alice' is ambiguous in dataset 'dataset'"):
