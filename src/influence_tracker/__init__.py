@@ -10,7 +10,6 @@ from .diffusion import (
     tweet_transmission,
 )
 from .errors import (
-    AccountMismatch,
     ClockSkew,
     DanglingReference,
     DatasetError,
@@ -48,7 +47,6 @@ from .store import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccountMismatch",
     "AccountSnapshot",
     "ClockSkew",
     "ComparisonResult",

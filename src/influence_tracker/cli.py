@@ -123,8 +123,8 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     save_dataset(dataset, args.out)
-    stubs = sum(1 for a in dataset.accounts if a not in dataset.windows)
-    tweets = sum(w.window_size for w in dataset.windows.values())
+    stubs = sum(1 for a in dataset.accounts.values() if a.window is None)
+    tweets = sum(a.window.window_size for a in dataset.accounts.values() if a.window is not None)
     print(f"wrote {args.out}: {len(dataset.accounts)} accounts ({stubs} stubs), {tweets} tweets")
     return 0
 

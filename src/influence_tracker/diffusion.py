@@ -106,7 +106,9 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
     ..., layer d that end at it and the sum of their products; following
     its successors into layer d+1 extends all of them at once. The totals
     are those of the nodes reached at depth ttl. Nodes and successors are
-    visited in sorted order, so the summation order never depends on hashing.
+    visited, and the end totals added up, left to right in sorted order, so
+    the summation order depends neither on hashing nor on the Python
+    version (``sum()`` of floats is compensated from 3.12 on).
     Costs O(nodes + edges) where enumeration costs O(k^ttl).
     """
     nodes = network.nodes
@@ -127,8 +129,12 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
                     dst_total + total * tweet_transmission(nodes[src], nodes[dst]),
                 )
         reached = ahead
-    ends = [reached[n] for n in sorted(reached)]
-    return sum(count for count, _ in ends), sum((total for _, total in ends), 0.0)
+    path_count, transmission = 0, 0.0
+    for node_id in sorted(reached):
+        count, total = reached[node_id]
+        path_count += count
+        transmission += total
+    return path_count, transmission
 
 
 def compare_networks(

@@ -15,10 +15,6 @@ class ClockSkew(InfluenceTrackerError):
     """A tweet in the window is newer than the evaluation instant."""
 
 
-class AccountMismatch(InfluenceTrackerError):
-    """Snapshot and tweet window belong to different accounts."""
-
-
 class DatasetError(InfluenceTrackerError):
     """Base class for dataset-file, lookup and too-large-network failures (exit code 2)."""
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from .errors import AccountMismatch, ClockSkew
+from .errors import ClockSkew
 from .models import AccountSnapshot, TweetWindow
 
 SECONDS_PER_DAY = 86400.0
@@ -104,27 +104,17 @@ def follower_following_factor(followers_count: int, following_count: int) -> flo
     return math.log10(followers_count / effective_following + 1.0)
 
 
-def influence_metric(
-    snapshot: AccountSnapshot,
-    window: TweetWindow | None,
-    as_of: datetime,
-) -> InfluenceScore:
+def influence_metric(snapshot: AccountSnapshot, as_of: datetime) -> InfluenceScore:
     """Score an account from its snapshot and tweet window.
 
-    A missing window means an inactive account (a stub): tcr is 0 and so
-    is the score. Raises AccountMismatch if the window belongs to a different
-    account.
+    A stub (no window) is an inactive account: tcr is 0 and so is the score.
     """
-    if window is not None and window.author_id != snapshot.account_id:
-        raise AccountMismatch(
-            f"window belongs to {window.author_id}, snapshot to {snapshot.account_id}"
-        )
     oom = order_of_magnitude(snapshot.followers_count)
     ftf = follower_following_factor(snapshot.followers_count, snapshot.following_count)
-    if window is None:
+    if snapshot.window is None:
         tcr = 0.0
     else:
-        tcr = compute_tcr(window, as_of)
+        tcr = compute_tcr(snapshot.window, as_of)
     return InfluenceScore(tcr=tcr, oom_followers=oom, ftf_factor=ftf, value=tcr * oom * ftf)
 
 

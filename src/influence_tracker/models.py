@@ -19,11 +19,13 @@ COUNT_BOUND = 2**63
 
 @dataclass(frozen=True)
 class AccountSnapshot:
-    """One account's profile counters and (possibly truncated) follower list.
+    """One account's profile counters, (possibly truncated) follower list
+    and tweet window.
 
     ``follower_ids`` is a sample of the account's followers at capture time;
     it may be shorter than ``followers_count`` but never longer, and never
-    contains the account itself or duplicates.
+    contains the account itself or duplicates. ``window`` is None for a
+    stub: an account whose tweets were never fetched.
     """
 
     account_id: str
@@ -32,6 +34,7 @@ class AccountSnapshot:
     following_count: int
     follower_ids: tuple[str, ...]
     captured_at: datetime
+    window: TweetWindow | None = None
 
     def __post_init__(self):
         if not 0 <= self.followers_count < COUNT_BOUND:
@@ -61,7 +64,6 @@ class TweetRecord:
     """
 
     tweet_id: str
-    author_id: str
     created_at: datetime
     retweet_count: int
     favorite_count: int
@@ -84,15 +86,11 @@ class TweetWindow:
     identical window.
     """
 
-    author_id: str
     tweets: tuple[TweetRecord, ...]
 
     def __post_init__(self):
         if not 1 <= len(self.tweets) <= MAX_WINDOW_SIZE:
             raise ValueError(f"window holds {len(self.tweets)} tweets, must hold 1 to {MAX_WINDOW_SIZE}")
-        for t in self.tweets:
-            if t.author_id != self.author_id:
-                raise ValueError(f"tweet {t.tweet_id} belongs to {t.author_id}, not {self.author_id}")
         for newer, older in zip(self.tweets, self.tweets[1:]):
             if newer.created_at < older.created_at:
                 raise ValueError("tweets must be ordered newest-first")
@@ -112,8 +110,8 @@ class TweetWindow:
         return self.tweets[0]
 
     @classmethod
-    def from_tweets(cls, author_id: str, tweets: Iterable[TweetRecord]) -> "TweetWindow":
+    def from_tweets(cls, tweets: Iterable[TweetRecord]) -> "TweetWindow":
         """Build a window from tweets in any order, keeping the newest 100."""
         by_id = sorted(tweets, key=lambda t: t.tweet_id)
         newest_first = sorted(by_id, key=lambda t: t.created_at, reverse=True)
-        return cls(author_id=author_id, tweets=tuple(newest_first[:MAX_WINDOW_SIZE]))
+        return cls(tuple(newest_first[:MAX_WINDOW_SIZE]))

@@ -169,20 +169,17 @@ def build_network(
     def score_of(snapshot: AccountSnapshot) -> InfluenceScore:
         score = scores.get(snapshot.account_id)
         if score is None:
-            score = scores[snapshot.account_id] = influence_metric(
-                snapshot, dataset.windows.get(snapshot.account_id), as_of
-            )
+            score = scores[snapshot.account_id] = influence_metric(snapshot, as_of)
         return score
 
     def node_for(account_id: str, layer: int) -> NetworkNode:
         snapshot = dataset.accounts[account_id]
         score = score_of(snapshot)
-        window = dataset.windows.get(account_id)
         return NetworkNode(
             account_id=account_id,
             layer=layer,
             tcr=score.tcr,
-            retweet_prob=retweet_probability(window) if window is not None else 0.0,
+            retweet_prob=retweet_probability(snapshot.window) if snapshot.window is not None else 0.0,
             influence=score.value,
             followers_count=snapshot.followers_count,
         )

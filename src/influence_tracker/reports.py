@@ -41,9 +41,8 @@ def score_rows(
     rows = []
     for handle in handles:
         account = dataset.resolve(handle)
-        window = dataset.windows.get(account.account_id)
-        score = influence_metric(account, window, as_of)
-        h_report = h_index_report(window, as_of) if window is not None else None
+        score = influence_metric(account, as_of)
+        h_report = h_index_report(account.window, as_of) if account.window is not None else None
         row = {
             "handle": account.handle,
             "account_id": account.account_id,

@@ -17,17 +17,17 @@ that match an earlier account's handle (see ``_handle_key``), tweets
 without a preceding account record, and invariant violations.
 
 An account with counters but no tweets is a *stub*: a frontier account
-whose own activity was never fetched. A stub has no window, and ranks as
-inactive (zero tweet rate). Follower ids that resolve to no account
-record at all are tolerated on load and skipped by followers_of, since
-they carry no counters to rank.
+whose own activity was never fetched. A stub's window is None, and it
+ranks as inactive (zero tweet rate). Follower ids that resolve to no
+account record at all are tolerated on load and skipped by followers_of,
+since they carry no counters to rank.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -56,14 +56,13 @@ def _handle_key(handle: str) -> str:
 
 @dataclass
 class SnapshotDataset:
-    """All accounts and tweet windows captured in one snapshot.
+    """All accounts, each with its tweet window, captured in one snapshot.
 
     Not changed after load/generation, except for the private lookups
-    below. ``windows`` holds at most one window per account, and only for
-    accounts present in ``accounts``. A loaded dataset has no two handles
-    with the same ``_handle_key``.
+    below. A loaded dataset has no two handles with the same
+    ``_handle_key``.
 
-    Two private lookups are filled lazily from those two dicts: each
+    Two private lookups are filled lazily from ``accounts``: each
     account's sorted resolvable follower ids (filled per account by
     ``followers_of``) and a casefolded-handle index (built whole by the
     first ``resolve`` that misses on id). Concurrent readers stay safe:
@@ -75,7 +74,6 @@ class SnapshotDataset:
     dataset_id: str
     captured_at: datetime
     accounts: dict[str, AccountSnapshot] = field(default_factory=dict)
-    windows: dict[str, TweetWindow] = field(default_factory=dict)
     _sorted_followers: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -195,7 +193,6 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
             try:
                 tweets[author_id][tweet_id] = TweetRecord(
                     tweet_id=tweet_id,
-                    author_id=author_id,
                     created_at=created_at,
                     retweet_count=record["retweet_count"],
                     favorite_count=record["favorite_count"],
@@ -207,17 +204,14 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     if not accounts:
         raise ParseError(0, f"dataset {path.name!r} contains no account records")
 
-    windows = {
-        author_id: TweetWindow.from_tweets(author_id, by_id.values())
-        for author_id, by_id in tweets.items()
-        if by_id
-    }
+    for author_id, by_id in tweets.items():
+        if by_id:
+            accounts[author_id] = replace(accounts[author_id], window=TweetWindow.from_tweets(by_id.values()))
     captured_at = max(a.captured_at for a in accounts.values())
     return SnapshotDataset(
         dataset_id=path.stem,
         captured_at=captured_at,
         accounts=accounts,
-        windows=windows,
     )
 
 
@@ -237,14 +231,13 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
                 "follower_ids": list(account.follower_ids),
                 "captured_at": account.captured_at.isoformat(),
             }, separators=(",", ":")) + "\n")
-            window = dataset.windows.get(account_id)
-            if window is None:
+            if account.window is None:
                 continue
-            for tweet in window.tweets:
+            for tweet in account.window.tweets:
                 fh.write(json.dumps({
                     "kind": "tweet",
                     "id": tweet.tweet_id,
-                    "author_id": tweet.author_id,
+                    "author_id": account.account_id,
                     "created_at": tweet.created_at.isoformat(),
                     "retweet_count": tweet.retweet_count,
                     "favorite_count": tweet.favorite_count,
@@ -291,7 +284,6 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
     rng = random.Random(seed)
     ids = [f"acct-{i:05d}" for i in range(accounts)]
     snapshots: dict[str, AccountSnapshot] = {}
-    windows: dict[str, TweetWindow] = {}
 
     for i, account_id in enumerate(ids):
         others = ids[:i] + ids[i + 1:]
@@ -299,6 +291,23 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
         follower_ids = tuple(rng.sample(others, n_followers))
         followers_count = n_followers + int(10 ** rng.uniform(0, 4))
         following_count = rng.randint(0, 3000)
+        window = None
+        if rng.random() >= _STUB_FRACTION:
+            n_tweets = rng.randint(1, MAX_WINDOW_SIZE)
+            span_days = rng.uniform(0.5, 40.0)
+            engagement_scale = int(10 ** rng.uniform(0, 3))
+            retweet_propensity = rng.random()
+            tweets = []
+            for j in range(n_tweets):
+                offset = span_days * (j / (n_tweets - 1)) if n_tweets > 1 else rng.uniform(0.01, span_days)
+                tweets.append(TweetRecord(
+                    tweet_id=f"tw-{i:05d}-{j:03d}",
+                    created_at=_SYNTHETIC_EPOCH - timedelta(days=offset),
+                    retweet_count=rng.randint(0, engagement_scale),
+                    favorite_count=rng.randint(0, engagement_scale * 2),
+                    is_retweet=rng.random() < retweet_propensity,
+                ))
+            window = TweetWindow.from_tweets(tweets)
         snapshots[account_id] = AccountSnapshot(
             account_id=account_id,
             handle=f"user_{i:05d}",
@@ -306,30 +315,11 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
             following_count=following_count,
             follower_ids=follower_ids,
             captured_at=_SYNTHETIC_EPOCH,
+            window=window,
         )
-
-        if rng.random() < _STUB_FRACTION:
-            continue
-        n_tweets = rng.randint(1, MAX_WINDOW_SIZE)
-        span_days = rng.uniform(0.5, 40.0)
-        engagement_scale = int(10 ** rng.uniform(0, 3))
-        retweet_propensity = rng.random()
-        tweets = []
-        for j in range(n_tweets):
-            offset = span_days * (j / (n_tweets - 1)) if n_tweets > 1 else rng.uniform(0.01, span_days)
-            tweets.append(TweetRecord(
-                tweet_id=f"tw-{i:05d}-{j:03d}",
-                author_id=account_id,
-                created_at=_SYNTHETIC_EPOCH - timedelta(days=offset),
-                retweet_count=rng.randint(0, engagement_scale),
-                favorite_count=rng.randint(0, engagement_scale * 2),
-                is_retweet=rng.random() < retweet_propensity,
-            ))
-        windows[account_id] = TweetWindow.from_tweets(account_id, tweets)
 
     return SnapshotDataset(
         dataset_id=f"synthetic-{seed}",
         captured_at=_SYNTHETIC_EPOCH,
         accounts=snapshots,
-        windows=windows,
     )

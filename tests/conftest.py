@@ -12,7 +12,7 @@ AS_OF = datetime(2023, 5, 1, tzinfo=timezone.utc)
 
 
 def make_tweets(
-    author_id: str,
+    account_id: str,
     n: int,
     span_days: float,
     *,
@@ -21,7 +21,7 @@ def make_tweets(
     retweet_fraction: float = 0.0,
     end: datetime = AS_OF,
 ) -> list[TweetRecord]:
-    """n tweets evenly spread over span_days, newest at ``end``.
+    """n tweets of one account evenly spread over span_days, newest at ``end``.
 
     The first round(n * retweet_fraction) tweets (newest first) are marked
     as retweets, so the retweet share of the window is exact.
@@ -31,8 +31,7 @@ def make_tweets(
     for i in range(n):
         offset = span_days * (i / (n - 1)) if n > 1 else span_days
         tweets.append(TweetRecord(
-            tweet_id=f"{author_id}-t{i:03d}",
-            author_id=author_id,
+            tweet_id=f"{account_id}-t{i:03d}",
             created_at=end - timedelta(days=offset),
             retweet_count=retweet_counts[i] if retweet_counts else 0,
             favorite_count=favorite_counts[i] if favorite_counts else 0,
@@ -41,8 +40,8 @@ def make_tweets(
     return tweets
 
 
-def make_window(author_id: str, n: int = 10, span_days: float = 1.0, **kwargs) -> TweetWindow:
-    return TweetWindow.from_tweets(author_id, make_tweets(author_id, n, span_days, **kwargs))
+def make_window(account_id: str, n: int = 10, span_days: float = 1.0, **kwargs) -> TweetWindow:
+    return TweetWindow.from_tweets(make_tweets(account_id, n, span_days, **kwargs))
 
 
 def make_account(
@@ -52,6 +51,7 @@ def make_account(
     follower_ids: tuple[str, ...] = (),
     handle: str | None = None,
     captured_at: datetime = AS_OF,
+    window: TweetWindow | None = None,
 ) -> AccountSnapshot:
     return AccountSnapshot(
         account_id=account_id,
@@ -60,6 +60,7 @@ def make_account(
         following_count=following_count,
         follower_ids=tuple(follower_ids),
         captured_at=captured_at,
+        window=window,
     )
 
 
@@ -71,7 +72,6 @@ def dataset_from_spec(spec: dict[str, dict], dataset_id: str = "fixture") -> Sna
     ``retweet_counts`` / ``favorite_counts`` for the window.
     """
     accounts = {}
-    windows = {}
     for account_id, params in spec.items():
         params = dict(params)
         n_tweets = params.pop("tweets", 10)
@@ -81,12 +81,10 @@ def dataset_from_spec(spec: dict[str, dict], dataset_id: str = "fixture") -> Sna
             for key in ("retweet_fraction", "retweet_counts", "favorite_counts")
             if key in params
         }
-        accounts[account_id] = make_account(account_id, **params)
         if n_tweets is not None:
-            windows[account_id] = make_window(account_id, n_tweets, span_days, **window_kwargs)
-    return SnapshotDataset(
-        dataset_id=dataset_id, captured_at=AS_OF, accounts=accounts, windows=windows
-    )
+            params["window"] = make_window(account_id, n_tweets, span_days, **window_kwargs)
+        accounts[account_id] = make_account(account_id, **params)
+    return SnapshotDataset(dataset_id=dataset_id, captured_at=AS_OF, accounts=accounts)
 
 
 def complete_tree_spec(branching: int = 3, depth: int = 3, **account_kwargs) -> dict[str, dict]:

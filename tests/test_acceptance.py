@@ -61,10 +61,10 @@ def criterion(name):
 
 
 def scored_reference(followers, following):
-    snapshot = make_account("acct", followers_count=followers, following_count=following)
     window = make_window("acct", n=100, span_days=1.0)
+    snapshot = make_account("acct", followers_count=followers, following_count=following, window=window)
     start = time.perf_counter()
-    score = influence_metric(snapshot, window, AS_OF)
+    score = influence_metric(snapshot, AS_OF)
     elapsed = time.perf_counter() - start
     return score, elapsed
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from importlib import resources
@@ -461,6 +462,15 @@ class TestDeterminism:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    def test_gen_bytes_are_pinned(self, capsys, tmp_path):
+        # The benchmark builds its inputs with gen, so a drift here would
+        # change what two versions of the program are compared on.
+        path = tmp_path / "demo.jsonl"
+        argv = ["gen", "--seed", "42", "--accounts", "200", "--max-followers", "60", "--out", str(path)]
+        assert run(capsys, argv)[0] == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "968e96546cd269432116bb4e96ad203b775bfc7872f7474ce06cfe82f3abbf5e"
 
     def test_compare_blocks_independent_of_config_order(self, capsys, tmp_path):
         # Budgets above and below each parent's follower count, in both

@@ -349,6 +349,16 @@ class TestDiffusionTotals:
         }
         assert len(outputs) == 1, outputs
 
+    def test_ends_are_added_left_to_right(self):
+        # 1 + 1e-16 + 1e-16 is 1.0 added in order; the compensated sum() of
+        # Python 3.12+ gives 1.0000000000000002, so output would vary by version.
+        network = LayeredNetwork(root="root", category=RankingCategory.BY_INFLUENCE, ttl=1)
+        network.nodes["root"] = node("root", 0, tcr=1.0)
+        for account_id, tcr in (("a", 1.0), ("b", 1e-16), ("c", 1e-16)):
+            network.nodes[account_id] = node(account_id, 1, tcr=tcr, rt=1.0)
+            network.edges.add(("root", account_id))
+        assert diffusion_totals(network) == (3, 1.0)
+
     def test_only_layer_steps_that_reach_the_sink_count(self):
         network = fully_connected(k=2, ttl=3)
         network.edges |= STRAY_EDGES

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influence_tracker import (
-    AccountMismatch,
     ClockSkew,
     TweetWindow,
     compute_tcr,
@@ -34,7 +33,7 @@ class TestComputeTcr:
         assert compute_tcr(window, AS_OF) == 100.0
 
     def test_single_tweet_at_as_of_clamps_to_one_second(self):
-        window = TweetWindow.from_tweets("a", make_tweets("a", 1, 0.0))
+        window = TweetWindow.from_tweets(make_tweets("a", 1, 0.0))
         assert compute_tcr(window, AS_OF) == 86400.0
 
     def test_fifty_tweets_over_four_days(self):
@@ -44,7 +43,7 @@ class TestComputeTcr:
     def test_empty_window_rejected(self):
         # The window is refused when built, so compute_tcr never sees it.
         with pytest.raises(ValueError, match="window holds 0 tweets"):
-            compute_tcr(TweetWindow("a", ()), AS_OF)
+            compute_tcr(TweetWindow(()), AS_OF)
 
     def test_tweet_newer_than_as_of_rejected(self):
         window = make_window("a", n=5, span_days=1.0)
@@ -86,39 +85,33 @@ class TestOrderOfMagnitude:
 
 class TestInfluenceMetric:
     def test_reference_score_large_news_account(self):
-        snapshot = make_account("a", followers_count=178446, following_count=52)
         window = make_window("a", n=100, span_days=1.0)
-        score = influence_metric(snapshot, window, AS_OF)
+        snapshot = make_account("a", followers_count=178446, following_count=52, window=window)
+        score = influence_metric(snapshot, AS_OF)
         assert score.value == pytest.approx(35356300.107, rel=1e-3)
 
     def test_reference_score_million_follower_account(self):
-        snapshot = make_account("a", followers_count=1185201, following_count=455)
         window = make_window("a", n=100, span_days=1.0)
-        score = influence_metric(snapshot, window, AS_OF)
+        snapshot = make_account("a", followers_count=1185201, following_count=455, window=window)
+        score = influence_metric(snapshot, AS_OF)
         assert score.value == pytest.approx(341594730.673, rel=1e-3)
 
     def test_zero_followers_scores_zero(self):
-        snapshot = make_account("a", followers_count=0, following_count=10)
         window = make_window("a", n=50, span_days=2.0)
-        score = influence_metric(snapshot, window, AS_OF)
+        snapshot = make_account("a", followers_count=0, following_count=10, window=window)
+        score = influence_metric(snapshot, AS_OF)
         assert score.value == 0.0
         assert score.oom_followers == 0.0
 
     def test_missing_window_scores_zero(self):
         snapshot = make_account("a", followers_count=5000)
-        score = influence_metric(snapshot, None, AS_OF)
+        score = influence_metric(snapshot, AS_OF)
         assert score.value == 0.0 and score.tcr == 0.0
-
-    def test_window_for_other_account_rejected(self):
-        snapshot = make_account("a")
-        window = make_window("b", n=3)
-        with pytest.raises(AccountMismatch):
-            influence_metric(snapshot, window, AS_OF)
 
     def test_equal_followers_and_following_keeps_score_positive(self):
         import math
-        snapshot = make_account("a", followers_count=500, following_count=500)
-        score = influence_metric(snapshot, make_window("a"), AS_OF)
+        snapshot = make_account("a", followers_count=500, following_count=500, window=make_window("a"))
+        score = influence_metric(snapshot, AS_OF)
         assert score.ftf_factor == math.log10(2)
         assert score.value > 0
 
@@ -132,14 +125,14 @@ class TestInfluenceMetric:
         st.integers(min_value=0, max_value=10**6),
     )
     def test_value_is_exactly_the_product_of_its_factors(self, followers, following, delta):
-        snapshot = make_account("a", followers_count=followers, following_count=following)
         window = make_window("a", n=20, span_days=3.0)
-        score = influence_metric(snapshot, window, AS_OF)
+        snapshot = make_account("a", followers_count=followers, following_count=following, window=window)
+        score = influence_metric(snapshot, AS_OF)
         assert score.value == score.tcr * score.oom_followers * score.ftf_factor
 
         # more followers, same everything else: never a lower score
-        bigger = make_account("a", followers_count=followers + delta, following_count=following)
-        assert influence_metric(bigger, window, AS_OF).value >= score.value
+        bigger = make_account("a", followers_count=followers + delta, following_count=following, window=window)
+        assert influence_metric(bigger, AS_OF).value >= score.value
 
 
 class TestHIndex:
@@ -195,7 +188,7 @@ class TestHIndexReport:
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window holds 0 tweets"):
-            h_index_report(TweetWindow.from_tweets("a", []), AS_OF)
+            h_index_report(TweetWindow.from_tweets([]), AS_OF)
 
 
 class TestRetweetProbability:
@@ -211,13 +204,22 @@ class TestRetweetProbability:
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window holds 0 tweets"):
-            retweet_probability(TweetWindow("a", ()))
+            retweet_probability(TweetWindow(()))
 
 
 class TestTweetWindow:
     def test_empty_window_cannot_be_built(self):
         # An account with no tweets has no window at all (it is a stub).
         with pytest.raises(ValueError, match="window holds 0 tweets, must hold 1 to 100"):
-            TweetWindow("a", ())
+            TweetWindow(())
         with pytest.raises(ValueError, match="window holds 0 tweets"):
-            TweetWindow.from_tweets("a", [])
+            TweetWindow.from_tweets([])
+
+    @pytest.mark.parametrize("tweets,message", [
+        (make_tweets("a", 3, 1.0)[::-1], "tweets must be ordered newest-first"),
+        (make_tweets("a", 2, 0.0)[::-1], "equal-timestamp tweets must be ordered by tweet_id"),
+        (make_tweets("a", 101, 1.0), "window holds 101 tweets, must hold 1 to 100"),
+    ], ids=["oldest-first", "equal-times-ids-descending", "101-tweets"])
+    def test_bad_order_or_size_rejected(self, tweets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TweetWindow(tuple(tweets))

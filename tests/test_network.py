@@ -42,7 +42,7 @@ def reference_expansion(dataset, root, n_f, k, ttl, category, as_of):
             if category is RankingCategory.BY_FOLLOWERS:
                 score = float(snapshot.followers_count)
             else:
-                score = influence_metric(snapshot, dataset.windows.get(fid), as_of).value
+                score = influence_metric(snapshot, as_of).value
             decorated.append((-score, fid))
         decorated.sort()
         return [fid for _, fid in decorated[:k]]
@@ -73,9 +73,9 @@ def dumped_sink_edges(network):
     return {(e["from"], e["to"]) for e in dump["edges"] if e["to"] == dump["sink_id"]}
 
 
-def influence_key(dataset):
-    """The ByInfluence ranking key, scored directly from the dataset."""
-    return lambda s: influence_metric(s, dataset.windows.get(s.account_id), AS_OF).value
+def influence_key(snapshot):
+    """The ByInfluence ranking key, scored directly."""
+    return influence_metric(snapshot, AS_OF).value
 
 
 def followers_key(snapshot):
@@ -92,7 +92,7 @@ class TestRankFollowers:
             "e": {"followers_count": 100000, "tweets": 10, "span_days": 1.0},
         })
         candidates = [dataset.accounts[a] for a in "abcde"]
-        assert rank_followers(candidates, influence_key(dataset), 3) == ["e", "d", "c"]
+        assert rank_followers(candidates, influence_key, 3) == ["e", "d", "c"]
 
     def test_follower_count_ties_break_by_id(self):
         candidates = [
@@ -107,7 +107,7 @@ class TestRankFollowers:
             "active": {"followers_count": 10},
         })
         candidates = [dataset.accounts["stub"], dataset.accounts["active"]]
-        assert rank_followers(candidates, influence_key(dataset), 2) == ["active", "stub"]
+        assert rank_followers(candidates, influence_key, 2) == ["active", "stub"]
 
     def test_empty_input(self):
         assert rank_followers([], followers_key, 3) == []
@@ -130,12 +130,12 @@ class TestRankFollowers:
         def oracle_score(snapshot):
             if category is RankingCategory.BY_FOLLOWERS:
                 return float(snapshot.followers_count)
-            return influence_metric(snapshot, dataset.windows.get(snapshot.account_id), AS_OF).value
+            return influence_metric(snapshot, AS_OF).value
 
         expected = [
             s.account_id for s in sorted(candidates, key=lambda s: (-oracle_score(s), s.account_id))
         ][:7]
-        key = followers_key if category is RankingCategory.BY_FOLLOWERS else influence_key(dataset)
+        key = followers_key if category is RankingCategory.BY_FOLLOWERS else influence_key
         assert rank_followers(candidates, key, 7) == expected
 
     def test_rejects_k_below_one(self):
@@ -281,9 +281,9 @@ class TestScoreTable:
         calls = Counter()
         original = network_module.influence_metric
 
-        def counting(snapshot, window, as_of):
+        def counting(snapshot, as_of):
             calls[snapshot.account_id] += 1
-            return original(snapshot, window, as_of)
+            return original(snapshot, as_of)
 
         monkeypatch.setattr(network_module, "influence_metric", counting)
         return calls
@@ -317,12 +317,12 @@ class TestScoreTable:
             dataset, network, nodes = self.build(category)
             for account_id in nodes:
                 node = network.nodes[account_id]
-                window = dataset.windows.get(account_id)
-                score = influence_metric(dataset.accounts[account_id], window, AS_OF)
+                window = dataset.accounts[account_id].window
+                score = influence_metric(dataset.accounts[account_id], AS_OF)
                 assert (node.tcr, node.influence) == (score.tcr, score.value)
                 assert node.retweet_prob == (retweet_probability(window) if window else 0.0)
             checked |= nodes
-        assert any(a not in dataset.windows for a in checked)
+        assert any(dataset.accounts[a].window is None for a in checked)
 
 
 class TestExport:

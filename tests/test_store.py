@@ -105,8 +105,8 @@ class TestLoadDataset:
         )
         dataset = load_dataset(path)
         assert set(dataset.accounts) == {"a", "b"}
-        assert dataset.windows["a"].window_size == 1
-        assert "b" not in dataset.windows
+        assert dataset.accounts["a"].window.window_size == 1
+        assert dataset.accounts["b"].window is None
         assert dataset.dataset_id == "dataset"
         assert dataset.captured_at == AS_OF
 
@@ -178,7 +178,7 @@ class TestLoadDataset:
         tweets = [tweet_line(f"t{i:03d}", "a", days_ago=i / 10) for i in range(120)]
         path = write_lines(tmp_path, account_line("a"), *tweets)
         dataset = load_dataset(path)
-        window = dataset.windows["a"]
+        window = dataset.accounts["a"].window
         assert window.window_size == 100
         assert window.newest.tweet_id == "t000"
         assert window.oldest.tweet_id == "t099"
@@ -226,7 +226,7 @@ class TestLoadDataset:
     def test_counters_just_below_the_bound_load(self, tmp_path):
         lines = header_account_tweet("tweet", "favorite_count", str(2**63 - 1))
         dataset = load_dataset(write_lines(tmp_path, *lines))
-        assert dataset.windows["a"].newest.favorite_count == 2**63 - 1
+        assert dataset.accounts["a"].window.newest.favorite_count == 2**63 - 1
 
     def test_invalid_utf8_reports_line_number(self, tmp_path):
         path = tmp_path / "bytes.jsonl"
@@ -256,7 +256,7 @@ class TestLoadDataset:
         text = "\n".join(header_account_tweet()[1:]) + "\n"
         path = tmp_path / "crlf.jsonl"
         path.write_bytes(text.replace("\n", "\r\n").encode())
-        assert load_dataset(path).windows["a"].window_size == 1
+        assert load_dataset(path).accounts["a"].window.window_size == 1
         path.write_bytes(text.replace("\n", "\r").encode())
         with pytest.raises(ParseError, match="^line 1: invalid JSON"):
             load_dataset(path)
@@ -264,9 +264,7 @@ class TestLoadDataset:
     def test_reference_fixture_scores(self):
         dataset = load_dataset(DATA_DIR / "reference_accounts.jsonl")
         account = dataset.resolve("@skaigr")
-        score = influence_metric(
-            account, dataset.windows[account.account_id], dataset.captured_at
-        )
+        score = influence_metric(account, dataset.captured_at)
         assert score.value == pytest.approx(35356300.107, rel=1e-3)
 
 
@@ -321,7 +319,7 @@ class TestRoundTrip:
         save_dataset(original, path)
         reloaded = load_dataset(path)
         assert reloaded.accounts == original.accounts
-        assert reloaded.windows == original.windows
+        assert any(a.window is not None for a in original.accounts.values())
         assert reloaded.captured_at == original.captured_at
 
     def test_canonical_save_is_stable(self, tmp_path):
@@ -405,8 +403,9 @@ class TestGenerateSynthetic:
 
     def test_windows_are_valid(self):
         dataset = generate_synthetic(seed=9, accounts=25, max_followers=10)
-        assert dataset.windows, "generator should produce active accounts"
-        for window in dataset.windows.values():
+        windows = [a.window for a in dataset.accounts.values() if a.window is not None]
+        assert windows, "generator should produce active accounts"
+        for window in windows:
             assert 1 <= window.window_size <= 100
             assert window.newest.created_at <= dataset.captured_at
 
