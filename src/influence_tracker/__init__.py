@@ -28,7 +28,7 @@ from .metrics import (
     order_of_magnitude,
     retweet_probability,
 )
-from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRecord, TweetWindow
+from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetWindow
 from .network import (
     LayeredNetwork,
     NetworkNode,
@@ -63,7 +63,6 @@ __all__ = [
     "RankingCategory",
     "SnapshotDataset",
     "TransmissionPath",
-    "TweetRecord",
     "TweetWindow",
     "UnknownAccount",
     "build_network",

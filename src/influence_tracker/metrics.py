@@ -71,12 +71,13 @@ def window_span_days(window: TweetWindow, as_of: datetime) -> float:
 
     Raises ClockSkew if any tweet is newer than ``as_of``.
     """
-    if window.newest.created_at > as_of:
+    newest = window.created_at[0]
+    if newest > as_of:
         raise ClockSkew(
-            f"tweet {window.newest.tweet_id} created {window.newest.created_at.isoformat()} "
+            f"tweet {window.tweet_ids[0]} created {newest.isoformat()} "
             f"is newer than as_of {as_of.isoformat()}"
         )
-    span = (as_of - window.oldest.created_at).total_seconds() / SECONDS_PER_DAY
+    span = (as_of - window.created_at[-1]).total_seconds() / SECONDS_PER_DAY
     return max(EPSILON_DAYS, span)
 
 
@@ -136,8 +137,8 @@ def h_index(counts: Iterable[int] | Sequence[int]) -> int:
 def h_index_report(window: TweetWindow, as_of: datetime) -> HIndexReport:
     """Retweet and favorite h-indexes over the window, raw and per-day."""
     span = window_span_days(window, as_of)
-    retweet_h = h_index(t.retweet_count for t in window.tweets)
-    favorite_h = h_index(t.favorite_count for t in window.tweets)
+    retweet_h = h_index(window.retweet_counts)
+    favorite_h = h_index(window.favorite_counts)
     return HIndexReport(
         retweet_h_last100=retweet_h,
         favorite_h_last100=favorite_h,
@@ -149,4 +150,4 @@ def h_index_report(window: TweetWindow, as_of: datetime) -> HIndexReport:
 
 def retweet_probability(window: TweetWindow) -> float:
     """Fraction of the window that is retweets, in [0, 1]."""
-    return sum(1 for t in window.tweets if t.is_retweet) / window.window_size
+    return sum(window.is_retweet) / window.window_size

@@ -1,20 +1,23 @@
 """Domain records: account snapshots and tweet windows.
 
 These are immutable value objects captured from a crawl (or generated
-synthetically). All timestamps are timezone-aware UTC datetimes.
+synthetically). All timestamps are timezone-aware UTC datetimes. A tweet
+is a plain row, ``TweetRow``: no object is built per tweet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 # The scoring window covers at most this many of an account's newest tweets.
 MAX_WINDOW_SIZE = 100
 
-# Every counter is below this bound, so it fits a signed 64-bit integer.
-COUNT_BOUND = 2**63
+# One tweet: (tweet_id, created_at, retweet_count, favorite_count,
+# is_retweet); ``is_retweet`` marks a repost of another account's tweet.
+TweetRow = tuple[str, datetime, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,8 @@ class AccountSnapshot:
     ``follower_ids`` is a sample of the account's followers at capture time;
     it may be shorter than ``followers_count`` but never longer, and never
     contains the account itself or duplicates. ``window`` is None for a
-    stub: an account whose tweets were never fetched.
+    stub: an account whose tweets were never fetched. Counter ranges and
+    handle text are checked by the loader, not here.
     """
 
     account_id: str
@@ -37,14 +41,6 @@ class AccountSnapshot:
     window: TweetWindow | None = None
 
     def __post_init__(self):
-        if not 0 <= self.followers_count < COUNT_BOUND:
-            raise ValueError(f"followers_count must be in [0, 2**63), got {self.followers_count}")
-        if not 0 <= self.following_count < COUNT_BOUND:
-            raise ValueError(f"following_count must be in [0, 2**63), got {self.following_count}")
-        try:
-            self.handle.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"handle {self.handle!r} is not valid UTF-8") from None
         if len(set(self.follower_ids)) != len(self.follower_ids):
             raise ValueError("follower_ids contains duplicates")
         if self.account_id in self.follower_ids:
@@ -57,28 +53,9 @@ class AccountSnapshot:
 
 
 @dataclass(frozen=True)
-class TweetRecord:
-    """One tweet's engagement counters.
-
-    ``is_retweet`` marks a repost of another account's tweet.
-    """
-
-    tweet_id: str
-    created_at: datetime
-    retweet_count: int
-    favorite_count: int
-    is_retweet: bool
-
-    def __post_init__(self):
-        if not 0 <= self.retweet_count < COUNT_BOUND:
-            raise ValueError(f"retweet_count must be in [0, 2**63), got {self.retweet_count}")
-        if not 0 <= self.favorite_count < COUNT_BOUND:
-            raise ValueError(f"favorite_count must be in [0, 2**63), got {self.favorite_count}")
-
-
-@dataclass(frozen=True)
 class TweetWindow:
-    """An account's newest tweets, ordered newest-first.
+    """An account's newest tweets as columns, one tuple per field, each
+    ordered newest-first.
 
     Holds 1 to MAX_WINDOW_SIZE tweets; an account with no tweets has no
     window. Ordering is created_at descending with tweet_id as a
@@ -86,32 +63,38 @@ class TweetWindow:
     identical window.
     """
 
-    tweets: tuple[TweetRecord, ...]
+    tweet_ids: tuple[str, ...]
+    created_at: tuple[datetime, ...]
+    retweet_counts: tuple[int, ...]
+    favorite_counts: tuple[int, ...]
+    is_retweet: tuple[bool, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.tweets) <= MAX_WINDOW_SIZE:
-            raise ValueError(f"window holds {len(self.tweets)} tweets, must hold 1 to {MAX_WINDOW_SIZE}")
-        for newer, older in zip(self.tweets, self.tweets[1:]):
-            if newer.created_at < older.created_at:
+        n = len(self.tweet_ids)
+        if not 1 <= n <= MAX_WINDOW_SIZE:
+            raise ValueError(f"window holds {n} tweets, must hold 1 to {MAX_WINDOW_SIZE}")
+        if any(len(column) != n for column in (self.created_at, self.retweet_counts,
+                                               self.favorite_counts, self.is_retweet)):
+            raise ValueError("window columns must all hold the same number of tweets")
+        for newer, older, newer_id, older_id in zip(self.created_at, self.created_at[1:],
+                                                     self.tweet_ids, self.tweet_ids[1:]):
+            if newer < older:
                 raise ValueError("tweets must be ordered newest-first")
-            if newer.created_at == older.created_at and newer.tweet_id >= older.tweet_id:
+            if newer == older and newer_id >= older_id:
                 raise ValueError("equal-timestamp tweets must be ordered by tweet_id")
 
     @property
     def window_size(self) -> int:
-        return len(self.tweets)
+        return len(self.tweet_ids)
 
-    @property
-    def oldest(self) -> TweetRecord:
-        return self.tweets[-1]
-
-    @property
-    def newest(self) -> TweetRecord:
-        return self.tweets[0]
+    def rows(self) -> Iterator[TweetRow]:
+        """The window's tweets as rows, newest first."""
+        return zip(self.tweet_ids, self.created_at, self.retweet_counts,
+                   self.favorite_counts, self.is_retweet)
 
     @classmethod
-    def from_tweets(cls, tweets: Iterable[TweetRecord]) -> "TweetWindow":
-        """Build a window from tweets in any order, keeping the newest 100."""
-        by_id = sorted(tweets, key=lambda t: t.tweet_id)
-        newest_first = sorted(by_id, key=lambda t: t.created_at, reverse=True)
-        return cls(tuple(newest_first[:MAX_WINDOW_SIZE]))
+    def from_tweets(cls, rows: Iterable[TweetRow]) -> "TweetWindow":
+        """Build a window from tweet rows in any order, keeping the newest 100."""
+        by_id = sorted(rows, key=itemgetter(0))
+        newest_first = sorted(by_id, key=itemgetter(1), reverse=True)[:MAX_WINDOW_SIZE]
+        return cls(*zip(*newest_first)) if newest_first else cls((), (), (), (), ())

@@ -8,7 +8,10 @@ File format (UTF-8, one JSON object per line, "\n" or "\r\n" line ends):
      "retweet_count": ..., "favorite_count": ..., "is_retweet": ...}
 
 ``_FIELDS`` gives each field's exact JSON type: a counter is an integer
-below 2**63, never a float or a boolean. Lines starting with "#" are
+in [0, 2**63), never a float or a boolean. The loader holds the counter
+bounds and the handle rule (valid UTF-8, every character printable, so
+a handle cannot split a table row), beside ``_FIELDS``; the record types
+check only how their fields relate. Lines starting with "#" are
 comments. Accounts must precede their tweets; otherwise line order is
 free. Every other line becomes a record or raises ParseError with its
 line number: bytes that are not UTF-8, invalid JSON, unknown kinds,
@@ -32,7 +35,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import DanglingReference, DuplicateAccount, ParseError, UnknownAccount
-from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRecord, TweetWindow
+from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRow, TweetWindow
 
 # Each record kind's fields in file order, with the JSON type each must
 # hold exactly. The one list field, follower_ids, holds strings.
@@ -47,6 +50,11 @@ _FIELDS = {
     ),
 }
 _PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "booleans"}
+# Every counter is below this bound, so it fits a signed 64-bit integer.
+COUNT_BOUND = 2**63
+# One shared scanner, called directly: json.loads adds two Python calls and
+# two whitespace matches per line.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _handle_key(handle: str) -> str:
@@ -115,8 +123,9 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 def _record_kind(record: dict, line_no: int) -> str:
-    """The record's kind, once every field of that kind is present and
-    holds exactly its JSON type. Raises ParseError otherwise."""
+    """The record's kind, once every field of that kind is present, holds
+    exactly its JSON type and, for a counter, lies in [0, 2**63). Raises
+    ParseError otherwise."""
     kind = record.get("kind")
     fields = _FIELDS.get(kind) if type(kind) is str else None
     if fields is None:
@@ -125,6 +134,8 @@ def _record_kind(record: dict, line_no: int) -> str:
         value = record.get(name)
         if type(value) is not json_type or json_type is list and any(type(v) is not str for v in value):
             break
+        if json_type is int and not 0 <= value < COUNT_BOUND:
+            raise ParseError(line_no, f"bad {kind} record: {name} must be in [0, 2**63), got {value}")
     else:
         return kind
     missing = [f for f, _ in fields if f not in record]
@@ -143,28 +154,42 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     path = Path(path)
     accounts: dict[str, AccountSnapshot] = {}
     handle_owners: dict[str, str] = {}
-    tweets: dict[str, dict[str, TweetRecord]] = {}
+    tweets: dict[str, dict[str, TweetRow]] = {}
 
     with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith(b"#"):
                 continue
+            # json.loads's checks, on a line that holds no outer whitespace.
             try:
-                record = json.loads(line.decode("utf-8"))
+                text = line.decode("utf-8")
+                if text[0] == "\ufeff":
+                    raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+                record, end = _scan_json(text, 0)
+                if end != len(text):
+                    raise ValueError("Extra data")
+            except StopIteration:
+                raise ParseError(line_no, "invalid JSON: Expecting value") from None
             except (ValueError, RecursionError) as exc:
                 # A JSONDecodeError's msg leaves out its position, which would read as a line number.
                 raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
             if not isinstance(record, dict):
                 raise ParseError(line_no, "record must be a JSON object")
             if _record_kind(record, line_no) == "account":
-                account_id = record["id"]
+                account_id, handle = record["id"], record["handle"]
                 if account_id in accounts:
                     raise DuplicateAccount(line_no, f"account {account_id!r} already defined")
                 try:
+                    handle.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_no, f"bad account record: handle {handle!r} is not valid UTF-8") from None
+                if not handle.isprintable():
+                    raise ParseError(line_no, f"bad account record: handle {handle!r} is not printable")
+                try:
                     accounts[account_id] = AccountSnapshot(
                         account_id=account_id,
-                        handle=record["handle"],
+                        handle=handle,
                         followers_count=record["followers_count"],
                         following_count=record["following_count"],
                         follower_ids=tuple(record["follower_ids"]),
@@ -172,17 +197,18 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                     )
                 except ValueError as exc:
                     raise ParseError(line_no, f"bad account record: {exc}") from None
-                owner = handle_owners.setdefault(_handle_key(record["handle"]), account_id)
+                owner = handle_owners.setdefault(_handle_key(handle), account_id)
                 if owner != account_id:
-                    raise ParseError(line_no, f"handle {record['handle']!r} clashes with "
+                    raise ParseError(line_no, f"handle {handle!r} clashes with "
                                      f"the handle of account {owner!r}")
                 tweets[account_id] = {}
                 continue
             tweet_id, author_id = record["id"], record["author_id"]
-            if author_id not in accounts:
+            by_id = tweets.get(author_id)
+            if by_id is None:
                 raise DanglingReference(line_no, f"tweet {tweet_id!r} references account "
                                         f"{author_id!r} with no preceding account record")
-            if tweet_id in tweets[author_id]:
+            if tweet_id in by_id:
                 raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
             try:
                 created_at = parse_timestamp(record["created_at"])
@@ -190,16 +216,9 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 raise ParseError(line_no, f"bad created_at: {exc}") from None
             if created_at > accounts[author_id].captured_at:
                 raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
-            try:
-                tweets[author_id][tweet_id] = TweetRecord(
-                    tweet_id=tweet_id,
-                    created_at=created_at,
-                    retweet_count=record["retweet_count"],
-                    favorite_count=record["favorite_count"],
-                    is_retweet=record["is_retweet"],
-                )
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad tweet record: {exc}") from None
+            by_id[tweet_id] = (
+                tweet_id, created_at, record["retweet_count"], record["favorite_count"], record["is_retweet"],
+            )
 
     if not accounts:
         raise ParseError(0, f"dataset {path.name!r} contains no account records")
@@ -233,15 +252,15 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
             }, separators=(",", ":")) + "\n")
             if account.window is None:
                 continue
-            for tweet in account.window.tweets:
+            for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
                 fh.write(json.dumps({
                     "kind": "tweet",
-                    "id": tweet.tweet_id,
+                    "id": tweet_id,
                     "author_id": account.account_id,
-                    "created_at": tweet.created_at.isoformat(),
-                    "retweet_count": tweet.retweet_count,
-                    "favorite_count": tweet.favorite_count,
-                    "is_retweet": tweet.is_retweet,
+                    "created_at": created_at.isoformat(),
+                    "retweet_count": retweets,
+                    "favorite_count": favorites,
+                    "is_retweet": is_retweet,
                 }, separators=(",", ":")) + "\n")
 
 
@@ -300,12 +319,12 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
             tweets = []
             for j in range(n_tweets):
                 offset = span_days * (j / (n_tweets - 1)) if n_tweets > 1 else rng.uniform(0.01, span_days)
-                tweets.append(TweetRecord(
-                    tweet_id=f"tw-{i:05d}-{j:03d}",
-                    created_at=_SYNTHETIC_EPOCH - timedelta(days=offset),
-                    retweet_count=rng.randint(0, engagement_scale),
-                    favorite_count=rng.randint(0, engagement_scale * 2),
-                    is_retweet=rng.random() < retweet_propensity,
+                tweets.append((
+                    f"tw-{i:05d}-{j:03d}",
+                    _SYNTHETIC_EPOCH - timedelta(days=offset),
+                    rng.randint(0, engagement_scale),
+                    rng.randint(0, engagement_scale * 2),
+                    rng.random() < retweet_propensity,
                 ))
             window = TweetWindow.from_tweets(tweets)
         snapshots[account_id] = AccountSnapshot(

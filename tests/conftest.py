@@ -6,7 +6,8 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from influence_tracker import AccountSnapshot, SnapshotDataset, TweetRecord, TweetWindow
+from influence_tracker import AccountSnapshot, SnapshotDataset, TweetWindow
+from influence_tracker.models import TweetRow
 
 AS_OF = datetime(2023, 5, 1, tzinfo=timezone.utc)
 
@@ -20,8 +21,8 @@ def make_tweets(
     favorite_counts=None,
     retweet_fraction: float = 0.0,
     end: datetime = AS_OF,
-) -> list[TweetRecord]:
-    """n tweets of one account evenly spread over span_days, newest at ``end``.
+) -> list[TweetRow]:
+    """n tweet rows of one account evenly spread over span_days, newest at ``end``.
 
     The first round(n * retweet_fraction) tweets (newest first) are marked
     as retweets, so the retweet share of the window is exact.
@@ -30,12 +31,12 @@ def make_tweets(
     tweets = []
     for i in range(n):
         offset = span_days * (i / (n - 1)) if n > 1 else span_days
-        tweets.append(TweetRecord(
-            tweet_id=f"{account_id}-t{i:03d}",
-            created_at=end - timedelta(days=offset),
-            retweet_count=retweet_counts[i] if retweet_counts else 0,
-            favorite_count=favorite_counts[i] if favorite_counts else 0,
-            is_retweet=i < n_retweets,
+        tweets.append((
+            f"{account_id}-t{i:03d}",
+            end - timedelta(days=offset),
+            retweet_counts[i] if retweet_counts else 0,
+            favorite_counts[i] if favorite_counts else 0,
+            i < n_retweets,
         ))
     return tweets
 

@@ -375,6 +375,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("handle", ["ev\nil", "ev\til", "ev\u2028il", "ev\x00il"])
+    def test_unprintable_handle_exits_2_naming_its_line(self, capsys, tmp_path, handle):
+        # Such a handle would split a row of the text tables and of the warnings.
+        path = tmp_path / "probe.jsonl"
+        path.write_text("\n".join(header_account_tweet("account", "handle", json.dumps(handle))) + "\n",
+                        encoding="utf-8")
+        for command in (["score", "--dataset", str(path), "a"], ["compare", "--dataset", str(path), "--root", "a"]):
+            code, out, err = run(capsys, command)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: line 2: bad account record: handle {handle!r} is not printable\n"
+
     def test_handle_case_clash_exits_2_naming_its_line(self, capsys, tmp_path):
         path = tmp_path / "clash.jsonl"
         save_dataset(dataset_from_spec({"a1": {"handle": "Alice", "tweets": None}, "b1": {"handle": "ALICE"}}), path)

@@ -43,7 +43,7 @@ class TestComputeTcr:
     def test_empty_window_rejected(self):
         # The window is refused when built, so compute_tcr never sees it.
         with pytest.raises(ValueError, match="window holds 0 tweets"):
-            compute_tcr(TweetWindow(()), AS_OF)
+            compute_tcr(TweetWindow((), (), (), (), ()), AS_OF)
 
     def test_tweet_newer_than_as_of_rejected(self):
         window = make_window("a", n=5, span_days=1.0)
@@ -199,19 +199,19 @@ class TestRetweetProbability:
 
     def test_counts_retweet_flags(self):
         window = make_window("a", n=8, span_days=1.0, retweet_fraction=0.5)
-        expected = sum(1 for t in window.tweets if t.is_retweet) / 8
+        expected = sum(1 for flag in window.is_retweet if flag) / 8
         assert retweet_probability(window) == expected
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window holds 0 tweets"):
-            retweet_probability(TweetWindow(()))
+            retweet_probability(TweetWindow((), (), (), (), ()))
 
 
 class TestTweetWindow:
     def test_empty_window_cannot_be_built(self):
         # An account with no tweets has no window at all (it is a stub).
         with pytest.raises(ValueError, match="window holds 0 tweets, must hold 1 to 100"):
-            TweetWindow(())
+            TweetWindow((), (), (), (), ())
         with pytest.raises(ValueError, match="window holds 0 tweets"):
             TweetWindow.from_tweets([])
 
@@ -222,4 +222,16 @@ class TestTweetWindow:
     ], ids=["oldest-first", "equal-times-ids-descending", "101-tweets"])
     def test_bad_order_or_size_rejected(self, tweets, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            TweetWindow(tuple(tweets))
+            TweetWindow(*zip(*tweets))
+
+    def test_columns_of_unequal_length_rejected(self):
+        ids, created_at, retweets, favorites, flags = zip(*make_tweets("a", 3, 1.0))
+        with pytest.raises(ValueError, match="^window columns must all hold the same number of tweets$"):
+            TweetWindow(ids, created_at, retweets[:2], favorites, flags)
+
+    def test_rows_give_back_the_tweets_newest_first(self):
+        tweets = make_tweets("a", 5, 1.0, retweet_counts=[5, 4, 3, 2, 1], retweet_fraction=0.4)
+        window = TweetWindow.from_tweets(reversed(tweets))
+        assert list(window.rows()) == tweets
+        assert window.retweet_counts == (5, 4, 3, 2, 1)
+        assert window.is_retweet == (True, True, False, False, False)

@@ -57,10 +57,11 @@ def with_raw(line, field, raw):
 
 def header_account_tweet(kind=None, field=None, raw=None):
     """Lines "# header", account "a" (line 2) and its tweet (line 3), with
-    one field of the ``kind`` line set to the JSON text ``raw``."""
+    one field of the ``kind`` line set to the JSON text ``raw``, or with the
+    whole ``kind`` line replaced by ``raw`` when ``field`` is None."""
     lines = {"account": account_line("a", followers=1000), "tweet": tweet_line("t1", "a")}
     if kind is not None:
-        lines[kind] = with_raw(lines[kind], field, raw)
+        lines[kind] = raw if field is None else with_raw(lines[kind], field, raw)
     return ["# header", lines["account"], lines["tweet"]]
 
 
@@ -79,7 +80,8 @@ MISTYPED = [
     pytest.param("tweet", "retweet_count", "2.5", 3, "must be integers: retweet_count", id="float-retweets"),
 ]
 
-# Values that used to end in an internal error, at decode or after load.
+# Values out of range, each refused at its line. Most used to end in an
+# internal error, at decode or after load.
 OUT_OF_RANGE = [
     pytest.param("account", "followers_count", "1" * 5001, 2, "invalid JSON: Exceeds the limit", id="5001-digits"),
     pytest.param("account", "follower_ids", "[" * 100_000 + "]" * 100_000, 2, "invalid JSON: maximum recursion",
@@ -91,6 +93,26 @@ OUT_OF_RANGE = [
     pytest.param("account", "followers_count", str(10**400), 2, "followers_count must be in [0, 2**63)",
                  id="huge-int"),
     pytest.param("account", "handle", '"\\ud800x"', 2, "is not valid UTF-8", id="lone-surrogate"),
+    pytest.param("tweet", "retweet_count", str(2**63), 3, "retweet_count must be in [0, 2**63)",
+                 id="retweets-at-bound"),
+    pytest.param("tweet", "retweet_count", "-1", 3, "retweet_count must be in [0, 2**63)", id="negative-retweets"),
+    pytest.param("tweet", "favorite_count", str(2**63), 3, "favorite_count must be in [0, 2**63)",
+                 id="favorites-at-bound"),
+    pytest.param("tweet", "favorite_count", "-1", 3, "favorite_count must be in [0, 2**63)",
+                 id="negative-favorites"),
+]
+
+# Whole lines that are not one JSON object: each fails at its own line
+# with json.loads's message.
+UNDECODABLE = [
+    pytest.param("account", None, "\ufeff" + account_line("a"), 2,
+                 "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", id="bom"),
+    pytest.param("tweet", None, tweet_line("t1", "a") + tweet_line("t2", "a"), 3, "invalid JSON: Extra data",
+                 id="two-objects"),
+    pytest.param("tweet", None, tweet_line("t1", "a") + "," + tweet_line("t2", "a"), 3, "invalid JSON: Extra data",
+                 id="comma-separated-objects"),
+    pytest.param("tweet", None, "123", 3, "record must be a JSON object", id="bare-number"),
+    pytest.param("tweet", None, "[1,", 3, "invalid JSON: Expecting value", id="truncated-array"),
 ]
 
 
@@ -180,8 +202,8 @@ class TestLoadDataset:
         dataset = load_dataset(path)
         window = dataset.accounts["a"].window
         assert window.window_size == 100
-        assert window.newest.tweet_id == "t000"
-        assert window.oldest.tweet_id == "t099"
+        assert window.tweet_ids[0] == "t000"
+        assert window.tweet_ids[-1] == "t099"
 
     def test_zulu_timestamps_accepted(self, tmp_path):
         line = json.dumps({
@@ -216,7 +238,7 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=f"line {line}: field\\(s\\) must be strings: {field}"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("kind, field, raw, line, reason", MISTYPED + OUT_OF_RANGE)
+    @pytest.mark.parametrize("kind, field, raw, line, reason", MISTYPED + OUT_OF_RANGE + UNDECODABLE)
     def test_malformed_value_reports_line_number(self, tmp_path, kind, field, raw, line, reason):
         path = write_lines(tmp_path, *header_account_tweet(kind, field, raw))
         with pytest.raises(ParseError, match=f"^line {line}: .*{re.escape(reason)}") as info:
@@ -226,7 +248,7 @@ class TestLoadDataset:
     def test_counters_just_below_the_bound_load(self, tmp_path):
         lines = header_account_tweet("tweet", "favorite_count", str(2**63 - 1))
         dataset = load_dataset(write_lines(tmp_path, *lines))
-        assert dataset.accounts["a"].window.newest.favorite_count == 2**63 - 1
+        assert dataset.accounts["a"].window.favorite_counts[0] == 2**63 - 1
 
     def test_invalid_utf8_reports_line_number(self, tmp_path):
         path = tmp_path / "bytes.jsonl"
@@ -407,7 +429,7 @@ class TestGenerateSynthetic:
         assert windows, "generator should produce active accounts"
         for window in windows:
             assert 1 <= window.window_size <= 100
-            assert window.newest.created_at <= dataset.captured_at
+            assert window.created_at[0] <= dataset.captured_at
 
     def test_too_few_accounts_rejected(self):
         with pytest.raises(ValueError):
