@@ -1,10 +1,10 @@
 """Rendering of score and comparison reports as text, CSV, or JSON.
 
-Each report is built once as JSON-ready rows. JSON prints those rows as
-they are, with full float precision; CSV and text print the same values
-through one table writer, which formats each cell by its type: a float
-gets three decimal places, text adds thousands separators to floats and
-ints, and a string prints unchanged.
+Each report is built once as JSON-ready rows. JSON prints them in exactly
+``json.dumps(indent=2)`` layout, each list of flat records in one C-encoder
+call. CSV and text print the same values through one table writer, which
+formats each cell by its type: a float gets three decimal places, text adds
+thousands separators to floats and ints, and a string prints unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +27,23 @@ COMPARE_COLUMNS = (
     "user", "by_influence", "by_followers", "difference", "winner",
     "paths_by_influence", "paths_by_followers",
 )
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, with each list of flat records in one C-encoder call."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()) + pad + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return json.dumps(value)
+    if {*map(type, value)} != {dict} or not all(value) or not {
+            type(v) for r in value for v in r.values()} <= {str, int, float, bool, type(None)}:
+        return "[" + ",".join(inner + _dumps(v, inner) for v in value) + pad + "]"
+    # ensure_ascii leaves no newline in a string, so "}" + separator + "{" only joins records.
+    keys = inner + "  "
+    records = json.JSONEncoder(separators=("," + keys, ": ")).encode(value)[2:-2]
+    records = records.replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
+    return "[" + inner + "{" + keys + records + inner + "}" + pad + "]"
 
 
 def score_rows(
@@ -90,7 +107,7 @@ def render_score(rows: list[dict], fmt: str, dataset_id: str, as_of: datetime) -
             "as_of": as_of.isoformat(),
             "rows": rows,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload) + "\n"
     return _table(fmt, SCORE_COLUMNS, [[row[c] for c in SCORE_COLUMNS] for row in rows])
 
 
@@ -132,7 +149,7 @@ def render_compare(
             "as_of": as_of.isoformat(),
             "results": blocks,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload) + "\n"
     rows = [
         [
             n_f, k, ttl, root_handle,

@@ -53,8 +53,9 @@ _PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "bo
 # Every counter is below this bound, so it fits a signed 64-bit integer.
 COUNT_BOUND = 2**63
 # One shared scanner, called directly: json.loads adds two Python calls and
-# two whitespace matches per line.
+# two whitespace matches per line. json.dumps builds an encoder per call.
 _scan_json = json.JSONDecoder().scan_once
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _handle_key(handle: str) -> str:
@@ -114,6 +115,8 @@ def parse_timestamp(raw: str) -> datetime:
     outside the years 1 to 9999 once moved to UTC.
     """
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    if ts.tzinfo is timezone.utc:
+        return ts
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     try:
@@ -241,7 +244,7 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for account_id in sorted(dataset.accounts):
             account = dataset.accounts[account_id]
-            fh.write(json.dumps({
+            fh.write(_compact_json({
                 "kind": "account",
                 "id": account.account_id,
                 "handle": account.handle,
@@ -249,11 +252,11 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
                 "following_count": account.following_count,
                 "follower_ids": list(account.follower_ids),
                 "captured_at": account.captured_at.isoformat(),
-            }, separators=(",", ":")) + "\n")
+            }) + "\n")
             if account.window is None:
                 continue
             for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
-                fh.write(json.dumps({
+                fh.write(_compact_json({
                     "kind": "tweet",
                     "id": tweet_id,
                     "author_id": account.account_id,
@@ -261,7 +264,7 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
                     "retweet_count": retweets,
                     "favorite_count": favorites,
                     "is_retweet": is_retweet,
-                }, separators=(",", ":")) + "\n")
+                }) + "\n")
 
 
 def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[AccountSnapshot]:

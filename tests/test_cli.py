@@ -5,11 +5,13 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from influence_tracker import generate_synthetic, load_dataset, save_dataset
 from influence_tracker.cli import main
-from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS
+from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps
 
 from conftest import dataset_from_spec, layered_spec
 from test_store import OUT_OF_RANGE, header_account_tweet
@@ -311,6 +313,56 @@ class TestJsonLayout:
             "handle", "account_id", "captured_at", "influence", "tcr", "followers", "following",
             "retweet_h_last100", "favorite_h_last100", "retweet_h_daily", "favorite_h_daily",
         ]
+
+
+# JSON-ready values: strings that could fool a writer that splices
+# encoded text, every float the encoder spells specially, ints past
+# 64 bits, and lists of flat records beside lists of nested ones.
+TRICKY_TEXT = st.text(alphabet=st.sampled_from('"\\\n},{ aé\u2028\U0001f600'), max_size=6)
+SCALARS = (
+    st.none() | st.booleans() | TRICKY_TEXT
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1])
+    | st.floats() | st.integers(min_value=-(2**70), max_value=2**70) | st.just(2**63)
+)
+FLAT_RECORD = st.dictionaries(TRICKY_TEXT, SCALARS, min_size=1, max_size=4)
+JSON_READY = st.recursive(
+    SCALARS | st.lists(FLAT_RECORD, max_size=4),
+    lambda inner: st.lists(inner | FLAT_RECORD, max_size=4) | st.dictionaries(TRICKY_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(JSON_READY)
+    def test_writer_matches_json_dumps_indent_2(self, payload):
+        assert _dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("handles", [["SkaiGr", "YourAnonNews"], []], ids=["handles", "none"])
+    def test_score_json_is_indent_2(self, capsys, handles):
+        code, out, _ = run(capsys, ["score", "--dataset", REFERENCE, "--format", "json", *handles])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_compare_dump_is_indent_2(self, capsys, synthetic_path):
+        code, out, _ = run(capsys, [
+            "compare", "--dataset", synthetic_path, "--root", "acct-00000",
+            "--nf", "10,20", "--k", "3,4", "--format", "json", "--dump-networks",
+        ])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_dump_of_rootless_root_is_indent_2(self, capsys, tmp_path):
+        path = tmp_path / "lonely.jsonl"
+        save_dataset(dataset_from_spec({"loner": {}, "other": {}}), path)
+        code, out, _ = run(capsys, [
+            "compare", "--dataset", str(path), "--root", "loner", "--format", "json", "--dump-networks",
+        ])
+        assert code == 0
+        network = json.loads(out)["results"][0]["networks"]["by_influence"]
+        assert [node["layer"] for node in network["nodes"]] == [0, None]
+        assert network["edges"] == []
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestGen:

@@ -78,6 +78,7 @@ MISTYPED = [
     pytest.param("account", "follower_ids", '{"b": 1}', 2, "must be lists of strings: follower_ids", id="dict-ids"),
     pytest.param("account", "follower_ids", "[1]", 2, "must be lists of strings: follower_ids", id="int-ids"),
     pytest.param("tweet", "retweet_count", "2.5", 3, "must be integers: retweet_count", id="float-retweets"),
+    pytest.param("tweet", "favorite_count", "false", 3, "must be integers: favorite_count", id="bool-favorites"),
 ]
 
 # Values out of range, each refused at its line. Most used to end in an
