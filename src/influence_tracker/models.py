@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import Iterable, Iterator
 
 # The scoring window covers at most this many of an account's newest tweets.
@@ -76,6 +76,10 @@ class TweetWindow:
         if any(len(column) != n for column in (self.created_at, self.retweet_counts,
                                                self.favorite_counts, self.is_retweet)):
             raise ValueError("window columns must all hold the same number of tweets")
+        # A strictly newest-first window passes at C speed; any other runs
+        # the pair loop, which raises the first error in order.
+        if all(map(gt, self.created_at, self.created_at[1:])):
+            return
         for newer, older, newer_id, older_id in zip(self.created_at, self.created_at[1:],
                                                      self.tweet_ids, self.tweet_ids[1:]):
             if newer < older:

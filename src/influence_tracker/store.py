@@ -255,7 +255,15 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
             }) + "\n")
             if account.window is None:
                 continue
+            author_id = _compact_json(account.account_id)
             for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
+                # Exact ints and bools print as the encoder prints them; any
+                # other counter or flag type goes through the encoder.
+                if type(retweets) is int and type(favorites) is int and type(is_retweet) is bool:
+                    fh.write(f'{{"kind":"tweet","id":{_compact_json(tweet_id)},"author_id":{author_id},'
+                             f'"created_at":{_compact_json(created_at.isoformat())},"retweet_count":{retweets},'
+                             f'"favorite_count":{favorites},"is_retweet":{"true" if is_retweet else "false"}}}\n')
+                    continue
                 fh.write(_compact_json({
                     "kind": "tweet",
                     "id": tweet_id,
@@ -307,15 +315,17 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
     ids = [f"acct-{i:05d}" for i in range(accounts)]
     snapshots: dict[str, AccountSnapshot] = {}
 
+    # randrange(m + 1) is randint(0, m)'s draw without its extra call, and
+    # sampling positions in range(accounts - 1) draws as sampling the list
+    # of the other ids would: position j stands for ids[j + (j >= i)].
     for i, account_id in enumerate(ids):
-        others = ids[:i] + ids[i + 1:]
-        n_followers = rng.randint(0, min(max_followers, len(others)))
-        follower_ids = tuple(rng.sample(others, n_followers))
+        n_followers = rng.randrange(min(max_followers, accounts - 1) + 1)
+        follower_ids = tuple(ids[j + (j >= i)] for j in rng.sample(range(accounts - 1), n_followers))
         followers_count = n_followers + int(10 ** rng.uniform(0, 4))
-        following_count = rng.randint(0, 3000)
+        following_count = rng.randrange(3001)
         window = None
         if rng.random() >= _STUB_FRACTION:
-            n_tweets = rng.randint(1, MAX_WINDOW_SIZE)
+            n_tweets = 1 + rng.randrange(MAX_WINDOW_SIZE)
             span_days = rng.uniform(0.5, 40.0)
             engagement_scale = int(10 ** rng.uniform(0, 3))
             retweet_propensity = rng.random()
@@ -325,8 +335,8 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
                 tweets.append((
                     f"tw-{i:05d}-{j:03d}",
                     _SYNTHETIC_EPOCH - timedelta(days=offset),
-                    rng.randint(0, engagement_scale),
-                    rng.randint(0, engagement_scale * 2),
+                    rng.randrange(engagement_scale + 1),
+                    rng.randrange(engagement_scale * 2 + 1),
                     rng.random() < retweet_propensity,
                 ))
             window = TweetWindow.from_tweets(tweets)

@@ -536,6 +536,20 @@ class TestDeterminism:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "968e96546cd269432116bb4e96ad203b775bfc7872f7474ce06cfe82f3abbf5e"
 
+    @pytest.mark.parametrize("seed,accounts,max_followers,digest", [
+        ("3", "2", "1", "dba3fc746e24fb401605566396a49972ffd37e32576780271d095dacfb9c9128"),
+        ("5", "40", "100", "7d12aabeee17d383e9efb20ab550835d656dd3de7418e81e9f109acb59b037cd"),
+    ], ids=["two-accounts", "all-others-drawable"])
+    def test_gen_bytes_are_pinned_at_sampling_edges(self, capsys, tmp_path, seed, accounts, max_followers, digest):
+        # Followers are drawn as positions among the other accounts; these
+        # pins hold the smallest population and one where every other
+        # account can be drawn. The digests were computed when followers
+        # were still sampled from a copied list of the other ids.
+        path = tmp_path / "edge.jsonl"
+        argv = ["gen", "--seed", seed, "--accounts", accounts, "--max-followers", max_followers, "--out", str(path)]
+        assert run(capsys, argv)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_compare_blocks_independent_of_config_order(self, capsys, tmp_path):
         # Budgets above and below each parent's follower count, in both
         # orders: per-dataset lookups must not carry one budget into the next.

@@ -1,3 +1,4 @@
+import itertools
 from datetime import timedelta
 
 import pytest
@@ -223,6 +224,37 @@ class TestTweetWindow:
     def test_bad_order_or_size_rejected(self, tweets, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             TweetWindow(*zip(*tweets))
+
+    def test_order_check_matches_the_pair_loop(self):
+        # Every window of up to 5 tweets drawn from 3 instants and 3 ids:
+        # the same accept/reject result and first message as a plain loop
+        # over adjacent pairs.
+        def pair_errors(created_at, tweet_ids):
+            errors = []
+            for newer, older, newer_id, older_id in zip(created_at, created_at[1:], tweet_ids, tweet_ids[1:]):
+                if newer < older:
+                    errors.append("tweets must be ordered newest-first")
+                elif newer == older and newer_id >= older_id:
+                    errors.append("equal-timestamp tweets must be ordered by tweet_id")
+            return errors
+
+        instants = [AS_OF - timedelta(hours=h) for h in range(3)]
+        tweets = list(itertools.product(["t0", "t1", "t2"], instants))
+        first_errors_of_mixed = set()
+        for n in range(1, 6):
+            for window in itertools.product(tweets, repeat=n):
+                tweet_ids, created_at = zip(*window)
+                errors = pair_errors(created_at, tweet_ids)
+                try:
+                    TweetWindow(tweet_ids, created_at, (0,) * n, (0,) * n, (False,) * n)
+                except ValueError as exc:
+                    assert errors and str(exc) == errors[0], window
+                else:
+                    assert not errors, window
+                if len(set(errors)) == 2:
+                    first_errors_of_mixed.add(errors[0])
+        # Windows both out of order and wrongly tied were met with either error first.
+        assert len(first_errors_of_mixed) == 2
 
     def test_columns_of_unequal_length_rejected(self):
         ids, created_at, retweets, favorites, flags = zip(*make_tweets("a", 3, 1.0))

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influence_tracker import (
+    AccountSnapshot,
     DanglingReference,
     DuplicateAccount,
     ParseError,
+    SnapshotDataset,
+    TweetWindow,
     UnknownAccount,
     followers_of,
     generate_synthetic,
@@ -351,6 +354,94 @@ class TestRoundTrip:
         save_dataset(dataset, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Text a writer that splices JSON could get wrong: quotes, backslashes,
+# control characters, non-ASCII and astral characters, and record joins.
+PRINTABLE_PIECES = ['"', "\\", "a", "A", "@", "é", "\U0001f600", "},{"]
+TRICKY_TEXT = st.lists(st.sampled_from(
+    PRINTABLE_PIECES + ["\n", "\x00", "\x1f", "\x7f", "\u2028", "}\n{"]
+), max_size=5).map("".join)
+# Handles that a loaded file keeps: printable, mostly, and unique by what they match.
+HANDLES = st.lists(st.lists(st.sampled_from(PRINTABLE_PIECES), max_size=5).map("".join) | TRICKY_TEXT,
+                   min_size=4, max_size=4, unique_by=lambda handle: handle.lstrip("@").casefold())
+COUNTERS = st.sampled_from([0, 1, 2**63 - 1]) | st.integers(min_value=0, max_value=2**63 - 1)
+# Whole seconds, or with microseconds, before the capture instant.
+CREATED_AT = st.builds(lambda seconds, micros: AS_OF - timedelta(seconds=seconds, microseconds=micros),
+                       st.integers(0, 10**6), st.just(0) | st.integers(0, 999_999))
+
+
+@st.composite
+def tricky_datasets(draw):
+    account_ids = draw(st.lists(TRICKY_TEXT, min_size=1, max_size=4, unique=True))
+    accounts = {}
+    for account_id, handle in zip(account_ids, draw(HANDLES)):
+        others = [other for other in account_ids if other != account_id]
+        follower_ids = tuple(draw(st.lists(st.sampled_from(others), unique=True)) if others else ())
+        tweet_ids = draw(st.lists(TRICKY_TEXT, max_size=4, unique=True))
+        rows = [(tweet_id, draw(CREATED_AT), draw(COUNTERS), draw(COUNTERS), draw(st.booleans()))
+                for tweet_id in tweet_ids]
+        accounts[account_id] = AccountSnapshot(
+            account_id=account_id,
+            handle=handle,
+            followers_count=max(draw(COUNTERS), len(follower_ids)),
+            following_count=draw(COUNTERS),
+            follower_ids=follower_ids,
+            captured_at=AS_OF,
+            window=TweetWindow.from_tweets(rows) if rows else None,
+        )
+    return SnapshotDataset(dataset_id="tricky", captured_at=AS_OF, accounts=accounts)
+
+
+class TestWriter:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(dataset=tricky_datasets())
+    def test_each_line_is_json_dumps_of_its_record(self, dataset):
+        expected = []
+        for account_id in sorted(dataset.accounts):
+            account = dataset.accounts[account_id]
+            expected.append({
+                "kind": "account", "id": account_id, "handle": account.handle,
+                "followers_count": account.followers_count, "following_count": account.following_count,
+                "follower_ids": list(account.follower_ids), "captured_at": account.captured_at.isoformat(),
+            })
+            for tweet_id, created_at, retweets, favorites, is_retweet in (account.window.rows() if account.window else ()):
+                expected.append({
+                    "kind": "tweet", "id": tweet_id, "author_id": account_id,
+                    "created_at": created_at.isoformat(), "retweet_count": retweets,
+                    "favorite_count": favorites, "is_retweet": is_retweet,
+                })
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tricky.jsonl"
+            save_dataset(dataset, path)
+            assert path.read_bytes() == "".join(
+                json.dumps(record, separators=(",", ":")) + "\n" for record in expected
+            ).encode("utf-8")
+            if all(account.handle.isprintable() for account in dataset.accounts.values()):
+                assert load_dataset(path) == dataset
+            else:
+                with pytest.raises(ParseError):
+                    load_dataset(path)
+
+    def test_counters_of_other_types_are_written_as_before(self, tmp_path):
+        # A library-built window may hold a float or a bool counter; the
+        # bytes were computed before tweet lines stopped going through the
+        # encoder one by one.
+        window = TweetWindow(
+            ("t2", "t1"), (AS_OF, AS_OF - timedelta(hours=12, microseconds=750000)),
+            (1.5, 3), (True, 0), (False, True),
+        )
+        account = AccountSnapshot("a", "alice", 5, 0, (), AS_OF, window=window)
+        path = tmp_path / "typed.jsonl"
+        save_dataset(SnapshotDataset("typed", AS_OF, {"a": account}), path)
+        assert path.read_bytes() == (
+            b'{"kind":"account","id":"a","handle":"alice","followers_count":5,"following_count":0,'
+            b'"follower_ids":[],"captured_at":"2023-05-01T00:00:00+00:00"}\n'
+            b'{"kind":"tweet","id":"t2","author_id":"a","created_at":"2023-05-01T00:00:00+00:00",'
+            b'"retweet_count":1.5,"favorite_count":true,"is_retweet":false}\n'
+            b'{"kind":"tweet","id":"t1","author_id":"a","created_at":"2023-04-30T11:59:59.250000+00:00",'
+            b'"retweet_count":3,"favorite_count":0,"is_retweet":true}\n'
+        )
 
 
 class TestFollowersOf:
