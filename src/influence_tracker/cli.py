@@ -172,14 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except InfluenceTrackerError as exc:
+    except (InfluenceTrackerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # invariant breakage; never expected
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -17,7 +17,9 @@ free. Every other line becomes a record or raises ParseError with its
 line number: bytes that are not UTF-8, invalid JSON, unknown kinds,
 missing or mistyped fields, duplicate accounts or tweet ids, handles
 that match an earlier account's handle (see ``_handle_key``), tweets
-without a preceding account record, and invariant violations.
+without a preceding account record, and invariant violations. A file
+with no account record fails too: a dataset's capture instant is its
+latest account capture time.
 
 An account with counters but no tweets is a *stub*: a frontier account
 whose own activity was never fetched. A stub's window is None, and it
@@ -67,39 +69,40 @@ def _handle_key(handle: str) -> str:
 class SnapshotDataset:
     """All accounts, each with its tweet window, captured in one snapshot.
 
-    Not changed after load/generation, except for the private lookups
-    below. A loaded dataset has no two handles with the same
-    ``_handle_key``.
+    Not changed after load/generation, except for the private follower
+    lookup below. ``captured_at`` is the latest account capture time;
+    a dataset with no accounts raises ValueError. A loaded dataset has no
+    two handles with the same ``_handle_key``.
 
-    Two private lookups are filled lazily from ``accounts``: each
-    account's sorted resolvable follower ids (filled per account by
-    ``followers_of``) and a casefolded-handle index (built whole by the
-    first ``resolve`` that misses on id). Concurrent readers stay safe:
-    an entry is built completely before it is stored in one assignment,
-    is never changed afterwards, and two readers racing to fill the same
-    entry store equal values.
+    The casefolded-handle index is built with the dataset. Each account's
+    sorted resolvable follower ids are filled per account by
+    ``followers_of``. Concurrent readers stay safe: an entry is built
+    completely before it is stored in one assignment, is never changed
+    afterwards, and two readers racing to fill the same entry store equal
+    values.
     """
 
     dataset_id: str
-    captured_at: datetime
-    accounts: dict[str, AccountSnapshot] = field(default_factory=dict)
+    accounts: dict[str, AccountSnapshot]
+    captured_at: datetime = field(init=False)
+    _by_handle: dict[str, list[AccountSnapshot]] = field(init=False, repr=False, compare=False)
     _sorted_followers: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _by_handle: dict[str, list[AccountSnapshot]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        if not self.accounts:
+            raise ValueError(f"dataset {self.dataset_id!r} has no accounts")
+        self.captured_at = max(a.captured_at for a in self.accounts.values())
+        self._by_handle = {}
+        for account in self.accounts.values():
+            self._by_handle.setdefault(_handle_key(account.handle), []).append(account)
 
     def resolve(self, handle_or_id: str) -> AccountSnapshot:
         """Find an account by exact id, or by handle (case-insensitive,
         leading "@" optional). Raises UnknownAccount."""
         if handle_or_id in self.accounts:
             return self.accounts[handle_or_id]
-        if self._by_handle is None:
-            by_handle: dict[str, list[AccountSnapshot]] = {}
-            for account in self.accounts.values():
-                by_handle.setdefault(_handle_key(account.handle), []).append(account)
-            self._by_handle = by_handle
         matches = self._by_handle.get(_handle_key(handle_or_id), [])
         if len(matches) == 1:
             return matches[0]
@@ -150,9 +153,8 @@ def _record_kind(record: dict, line_no: int) -> str:
 def load_dataset(path: str | Path) -> SnapshotDataset:
     """Parse a JSONL snapshot file into a SnapshotDataset.
 
-    The dataset id is the file stem; the dataset capture instant is the
-    latest account capture time. Tweets beyond the newest 100 per account
-    are dropped (the window covers the latest 100 tweets only).
+    The dataset id is the file stem. Tweets beyond the newest 100 per
+    account are dropped (the window covers the latest 100 tweets only).
     """
     path = Path(path)
     accounts: dict[str, AccountSnapshot] = {}
@@ -229,12 +231,7 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     for author_id, by_id in tweets.items():
         if by_id:
             accounts[author_id] = replace(accounts[author_id], window=TweetWindow.from_tweets(by_id.values()))
-    captured_at = max(a.captured_at for a in accounts.values())
-    return SnapshotDataset(
-        dataset_id=path.stem,
-        captured_at=captured_at,
-        accounts=accounts,
-    )
+    return SnapshotDataset(dataset_id=path.stem, accounts=accounts)
 
 
 def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
@@ -250,7 +247,7 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
                 "handle": account.handle,
                 "followers_count": account.followers_count,
                 "following_count": account.following_count,
-                "follower_ids": list(account.follower_ids),
+                "follower_ids": account.follower_ids,
                 "captured_at": account.captured_at.isoformat(),
             }) + "\n")
             if account.window is None:
@@ -258,21 +255,13 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
             author_id = _compact_json(account.account_id)
             for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
                 # Exact ints and bools print as the encoder prints them; any
-                # other counter or flag type goes through the encoder.
-                if type(retweets) is int and type(favorites) is int and type(is_retweet) is bool:
-                    fh.write(f'{{"kind":"tweet","id":{_compact_json(tweet_id)},"author_id":{author_id},'
-                             f'"created_at":{_compact_json(created_at.isoformat())},"retweet_count":{retweets},'
-                             f'"favorite_count":{favorites},"is_retweet":{"true" if is_retweet else "false"}}}\n')
-                    continue
-                fh.write(_compact_json({
-                    "kind": "tweet",
-                    "id": tweet_id,
-                    "author_id": account.account_id,
-                    "created_at": created_at.isoformat(),
-                    "retweet_count": retweets,
-                    "favorite_count": favorites,
-                    "is_retweet": is_retweet,
-                }) + "\n")
+                # other counter or flag goes through the encoder.
+                flag = "true" if is_retweet is True else "false" if is_retweet is False else _compact_json(is_retweet)
+                fh.write(f'{{"kind":"tweet","id":{_compact_json(tweet_id)},"author_id":{author_id},'
+                         f'"created_at":{_compact_json(created_at.isoformat())},'
+                         f'"retweet_count":{retweets if type(retweets) is int else _compact_json(retweets)},'
+                         f'"favorite_count":{favorites if type(favorites) is int else _compact_json(favorites)},'
+                         f'"is_retweet":{flag}}}\n')
 
 
 def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[AccountSnapshot]:
@@ -350,8 +339,4 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
             window=window,
         )
 
-    return SnapshotDataset(
-        dataset_id=f"synthetic-{seed}",
-        captured_at=_SYNTHETIC_EPOCH,
-        accounts=snapshots,
-    )
+    return SnapshotDataset(dataset_id=f"synthetic-{seed}", accounts=snapshots)

@@ -85,7 +85,7 @@ def dataset_from_spec(spec: dict[str, dict], dataset_id: str = "fixture") -> Sna
         if n_tweets is not None:
             params["window"] = make_window(account_id, n_tweets, span_days, **window_kwargs)
         accounts[account_id] = make_account(account_id, **params)
-    return SnapshotDataset(dataset_id=dataset_id, captured_at=AS_OF, accounts=accounts)
+    return SnapshotDataset(dataset_id=dataset_id, accounts=accounts)
 
 
 def complete_tree_spec(branching: int = 3, depth: int = 3, **account_kwargs) -> dict[str, dict]:

@@ -484,6 +484,31 @@ class TestExitCodes:
         assert code == 3
         assert "internal error" in err
 
+    def test_missing_dataset_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["score", "--dataset", str(tmp_path / "absent.jsonl"), "x"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "absent.jsonl" in err
+
+    def test_gen_into_missing_directory_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "absent" / "demo.jsonl"
+        code, out, err = run(capsys, ["gen", "--seed", "1", "--accounts", "3", "--max-followers", "2",
+                                      "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "demo.jsonl" in err
+
+    def test_keyboard_interrupt_propagates(self, capsys, monkeypatch):
+        import influence_tracker.cli as cli_module
+
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "load_dataset", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["score", "--dataset", REFERENCE, "x"])
+        assert capsys.readouterr().err == ""
+
 
 class TestQuickStart:
     def test_readme_quick_start_reproduces(self, capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -26,7 +27,7 @@ from influence_tracker import (
 )
 from influence_tracker.cli import main
 
-from conftest import AS_OF, dataset_from_spec
+from conftest import AS_OF, dataset_from_spec, make_account
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -338,6 +339,26 @@ class TestResolve:
             dataset.resolve("carol")
 
 
+class TestDerivedFields:
+    def test_captured_at_is_the_latest_account_capture(self):
+        latest = AS_OF + timedelta(hours=5, microseconds=1)
+        instants = {"a": AS_OF, "b": latest, "c": AS_OF - timedelta(days=3),
+                    "d": latest - timedelta(microseconds=1)}
+        dataset = SnapshotDataset("x", {i: make_account(i, captured_at=at) for i, at in instants.items()})
+        assert dataset.captured_at == latest
+
+    def test_no_accounts_raises_value_error(self):
+        with pytest.raises(ValueError, match="dataset 'x' has no accounts"):
+            SnapshotDataset("x", {})
+
+    def test_file_with_no_accounts_fails_in_the_loader(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="dataset 'empty.jsonl' contains no account records") as info:
+            load_dataset(path)
+        assert info.value.line_no == 0
+
+
 class TestRoundTrip:
     def test_save_load_preserves_records(self, tmp_path):
         original = generate_synthetic(seed=3, accounts=20, max_followers=8)
@@ -390,12 +411,57 @@ def tricky_datasets(draw):
             captured_at=AS_OF,
             window=TweetWindow.from_tweets(rows) if rows else None,
         )
-    return SnapshotDataset(dataset_id="tricky", captured_at=AS_OF, accounts=accounts)
+    return SnapshotDataset(dataset_id="tricky", accounts=accounts)
+
+
+class Count(int):
+    """An int subclass that formats unlike an int, as an IntEnum may; the
+    encoder prints the int it holds."""
+
+    def __format__(self, spec):
+        return f"Count({int(self)})"
+
+    __str__ = __repr__ = __format__
+
+
+# Counters and flags of other types that a library-built window may hold.
+OTHER_TYPED = (st.sampled_from([True, False, None, float("nan"), float("inf"), float("-inf")])
+               | st.floats() | COUNTERS.map(Count))
+
+
+@st.composite
+def mixed_type_datasets(draw):
+    """A tricky dataset whose rows may hold counters and flags of other types."""
+    def column(values, others):
+        return tuple(draw(st.just(value) | others) for value in values)
+
+    dataset = draw(tricky_datasets())
+    accounts = {}
+    for account_id, account in dataset.accounts.items():
+        window = account.window
+        if window is not None:
+            window = TweetWindow(window.tweet_ids, window.created_at,
+                                 column(window.retweet_counts, OTHER_TYPED),
+                                 column(window.favorite_counts, OTHER_TYPED),
+                                 column(window.is_retweet, OTHER_TYPED | COUNTERS))
+        accounts[account_id] = dataclasses.replace(account, window=window)
+    return SnapshotDataset(dataset.dataset_id, accounts)
+
+
+def loads_back(dataset):
+    """Whether the loader accepts the saved file: every handle printable,
+    every counter written as an integer (an int, or an int subclass other
+    than bool) and every flag an exact bool."""
+    windows = [account.window for account in dataset.accounts.values() if account.window]
+    return (all(account.handle.isprintable() for account in dataset.accounts.values())
+            and all(isinstance(n, int) and type(n) is not bool
+                    for window in windows for n in window.retweet_counts + window.favorite_counts)
+            and all(type(flag) is bool for window in windows for flag in window.is_retweet))
 
 
 class TestWriter:
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(dataset=tricky_datasets())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(dataset=tricky_datasets() | mixed_type_datasets())
     def test_each_line_is_json_dumps_of_its_record(self, dataset):
         expected = []
         for account_id in sorted(dataset.accounts):
@@ -417,7 +483,7 @@ class TestWriter:
             assert path.read_bytes() == "".join(
                 json.dumps(record, separators=(",", ":")) + "\n" for record in expected
             ).encode("utf-8")
-            if all(account.handle.isprintable() for account in dataset.accounts.values()):
+            if loads_back(dataset):
                 assert load_dataset(path) == dataset
             else:
                 with pytest.raises(ParseError):
@@ -433,7 +499,7 @@ class TestWriter:
         )
         account = AccountSnapshot("a", "alice", 5, 0, (), AS_OF, window=window)
         path = tmp_path / "typed.jsonl"
-        save_dataset(SnapshotDataset("typed", AS_OF, {"a": account}), path)
+        save_dataset(SnapshotDataset("typed", {"a": account}), path)
         assert path.read_bytes() == (
             b'{"kind":"account","id":"a","handle":"alice","followers_count":5,"following_count":0,'
             b'"follower_ids":[],"captured_at":"2023-05-01T00:00:00+00:00"}\n'
