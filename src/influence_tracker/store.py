@@ -11,15 +11,17 @@ File format (UTF-8, one JSON object per line, "\n" or "\r\n" line ends):
 in [0, 2**63), never a float or a boolean. The loader holds the counter
 bounds and the handle rule (valid UTF-8, every character printable, so
 a handle cannot split a table row), beside ``_FIELDS``; the record types
-check only how their fields relate. Lines starting with "#" are
-comments. Accounts must precede their tweets; otherwise line order is
-free. Every other line becomes a record or raises ParseError with its
-line number: bytes that are not UTF-8, invalid JSON, unknown kinds,
-missing or mistyped fields, duplicate accounts or tweet ids, handles
-that match an earlier account's handle (see ``_handle_key``), tweets
-without a preceding account record, and invariant violations. A file
-with no account record fails too: a dataset's capture instant is its
-latest account capture time.
+check only how their fields relate. The tweet path tests the tweet row
+of ``_FIELDS`` inline, in one expression, and ``_record_kind`` words
+every field error. Lines starting with "#" are comments. Accounts must
+precede their tweets; otherwise line order is free. Every other line
+becomes a record or raises ParseError with its line number: bytes that
+are not UTF-8, invalid JSON, unknown kinds, missing or mistyped fields,
+duplicate accounts or tweet ids, handles that match an earlier
+account's handle (see ``_handle_key``), tweets without a preceding
+account record, and invariant violations. A file with no account
+record fails too: a dataset's capture instant is its latest account
+capture time.
 
 An account with counters but no tweets is a *stub*: a frontier account
 whose own activity was never fetched. A stub's window is None, and it
@@ -181,7 +183,8 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
             if not isinstance(record, dict):
                 raise ParseError(line_no, "record must be a JSON object")
-            if _record_kind(record, line_no) == "account":
+            if record.get("kind") != "tweet":
+                _record_kind(record, line_no)  # an account record, or it raises
                 account_id, handle = record["id"], record["handle"]
                 if account_id in accounts:
                     raise DuplicateAccount(line_no, f"account {account_id!r} already defined")
@@ -208,7 +211,14 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                                      f"the handle of account {owner!r}")
                 tweets[account_id] = {}
                 continue
-            tweet_id, author_id = record["id"], record["author_id"]
+            # _FIELDS["tweet"] inline; _record_kind accepts the same records and words the error.
+            tweet_id, author_id, raw_created, retweets, favorites, is_retweet = (
+                record.get("id"), record.get("author_id"), record.get("created_at"),
+                record.get("retweet_count"), record.get("favorite_count"), record.get("is_retweet"))
+            if not (type(tweet_id) is str and type(author_id) is str and type(raw_created) is str
+                    and type(retweets) is int and type(favorites) is int and type(is_retweet) is bool
+                    and 0 <= retweets < COUNT_BOUND and 0 <= favorites < COUNT_BOUND):
+                _record_kind(record, line_no)
             by_id = tweets.get(author_id)
             if by_id is None:
                 raise DanglingReference(line_no, f"tweet {tweet_id!r} references account "
@@ -216,14 +226,12 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
             if tweet_id in by_id:
                 raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
             try:
-                created_at = parse_timestamp(record["created_at"])
+                created_at = parse_timestamp(raw_created)
             except ValueError as exc:
                 raise ParseError(line_no, f"bad created_at: {exc}") from None
             if created_at > accounts[author_id].captured_at:
                 raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
-            by_id[tweet_id] = (
-                tweet_id, created_at, record["retweet_count"], record["favorite_count"], record["is_retweet"],
-            )
+            by_id[tweet_id] = (tweet_id, created_at, retweets, favorites, is_retweet)
 
     if not accounts:
         raise ParseError(0, f"dataset {path.name!r} contains no account records")

@@ -25,6 +25,7 @@ from influence_tracker import (
     load_dataset,
     save_dataset,
 )
+from influence_tracker import store
 from influence_tracker.cli import main
 
 from conftest import AS_OF, dataset_from_spec, make_account
@@ -118,6 +119,43 @@ UNDECODABLE = [
                  id="comma-separated-objects"),
     pytest.param("tweet", None, "123", 3, "record must be a JSON object", id="bare-number"),
     pytest.param("tweet", None, "[1,", 3, "invalid JSON: Expecting value", id="truncated-array"),
+]
+
+# One tweet line after account "a", with one field dropped or set to a
+# JSON value of the wrong type or range, and the exact error it gives.
+TWEET_FIELDS = ("id", "author_id", "created_at", "retweet_count", "favorite_count", "is_retweet")
+WRONG_TYPES = {
+    "id": (("1.0", "true", "0", "null", "[]", "{}"), "line 2: field(s) must be strings: id"),
+    "author_id": (("1.0", "true", "0", "null", "[]", "{}"), "line 2: field(s) must be strings: author_id"),
+    "created_at": (("1.0", "true", "0", "null", "[]", "{}"), "line 2: field(s) must be strings: created_at"),
+    "retweet_count": (("1.0", "true", '"1"', "null", "[]", "{}"),
+                      "line 2: field(s) must be integers: retweet_count"),
+    "favorite_count": (("1.0", "true", '"1"', "null", "[]", "{}"),
+                       "line 2: field(s) must be integers: favorite_count"),
+    "is_retweet": (("1.0", "0", '"1"', "null", "[]", "{}"), "line 2: field(s) must be booleans: is_retweet"),
+}
+TWEET_FIELD_ERRORS = [
+    pytest.param({"id": None}, "line 2: missing field(s): id", id="no-id"),
+    pytest.param({"author_id": None}, "line 2: missing field(s): author_id", id="no-author_id"),
+    pytest.param({"created_at": None}, "line 2: missing field(s): created_at", id="no-created_at"),
+    pytest.param({"retweet_count": None}, "line 2: missing field(s): retweet_count", id="no-retweet_count"),
+    pytest.param({"favorite_count": None}, "line 2: missing field(s): favorite_count", id="no-favorite_count"),
+    pytest.param({"is_retweet": None}, "line 2: missing field(s): is_retweet", id="no-is_retweet"),
+    *(pytest.param({field: raw}, message, id=f"{field}={raw}")
+      for field, (raws, message) in WRONG_TYPES.items() for raw in raws),
+    pytest.param({"retweet_count": "-1"}, "line 2: bad tweet record: retweet_count must be in [0, 2**63), got -1",
+                 id="retweet_count=-1"),
+    pytest.param({"retweet_count": str(2**63)},
+                 "line 2: bad tweet record: retweet_count must be in [0, 2**63), got 9223372036854775808",
+                 id="retweet_count=2**63"),
+    pytest.param({"favorite_count": "-1"}, "line 2: bad tweet record: favorite_count must be in [0, 2**63), got -1",
+                 id="favorite_count=-1"),
+    pytest.param({"favorite_count": str(2**63)},
+                 "line 2: bad tweet record: favorite_count must be in [0, 2**63), got 9223372036854775808",
+                 id="favorite_count=2**63"),
+    pytest.param({"id": "5", "retweet_count": "-1"}, "line 2: field(s) must be strings: id", id="bad-id-and-count"),
+    pytest.param({"id": "5", "retweet_count": None}, "line 2: missing field(s): retweet_count",
+                 id="bad-id-no-count"),
 ]
 
 
@@ -293,6 +331,47 @@ class TestLoadDataset:
         account = dataset.resolve("@skaigr")
         score = influence_metric(account, dataset.captured_at)
         assert score.value == pytest.approx(35356300.107, rel=1e-3)
+
+
+class TestTweetLineCheck:
+    @pytest.mark.parametrize("changes, message", TWEET_FIELD_ERRORS)
+    def test_field_errors_keep_their_words(self, tmp_path, changes, message):
+        """``changes`` maps a field to its JSON text, or to None to drop it."""
+        line = tweet_line("t1", "a")
+        for field, raw in changes.items():
+            if raw is None:
+                line = json.dumps({k: v for k, v in json.loads(line).items() if k != field})
+            else:
+                line = with_raw(line, field, raw)
+        with pytest.raises(ParseError) as info:
+            load_dataset(write_lines(tmp_path, account_line("a"), line))
+        assert str(info.value) == message
+        assert info.value.line_no == 2
+
+    def test_key_order_and_extra_keys_are_free(self, tmp_path):
+        canonical = tweet_line("t1", "a", retweets=3, favorites=4, is_retweet=True)
+        record = json.loads(canonical)
+        reordered = json.dumps({"extra": [1, {"x": None}], **dict(reversed(record.items()))})
+        assert list(json.loads(reordered)) == ["extra", *reversed(TWEET_FIELDS), "kind"]
+        window = load_dataset(write_lines(tmp_path, account_line("a"), canonical)).accounts["a"].window
+        assert load_dataset(write_lines(tmp_path, account_line("a"), reordered)).accounts["a"].window == window
+        assert window.retweet_counts == (3,) and window.is_retweet == (True,)
+
+    def test_valid_tweet_lines_skip_the_field_walk(self, tmp_path, monkeypatch):
+        path = tmp_path / "gen.jsonl"
+        save_dataset(generate_synthetic(seed=5, accounts=20, max_followers=5), path)
+        kinds = [json.loads(line)["kind"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert "tweet" in kinds
+        checked = []
+        record_kind = store._record_kind
+
+        def counting(record, line_no):
+            checked.append(record["kind"])
+            return record_kind(record, line_no)
+
+        monkeypatch.setattr(store, "_record_kind", counting)
+        load_dataset(path)
+        assert checked == ["account"] * kinds.count("account")
 
 
 class TestResolve:
