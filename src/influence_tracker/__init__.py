@@ -11,9 +11,7 @@ from .diffusion import (
 )
 from .errors import (
     ClockSkew,
-    DanglingReference,
     DatasetError,
-    DuplicateAccount,
     InfluenceTrackerError,
     ParseError,
     UnknownAccount,
@@ -50,9 +48,7 @@ __all__ = [
     "AccountSnapshot",
     "ClockSkew",
     "ComparisonResult",
-    "DanglingReference",
     "DatasetError",
-    "DuplicateAccount",
     "HIndexReport",
     "InfluenceScore",
     "InfluenceTrackerError",

@@ -28,13 +28,5 @@ class ParseError(DatasetError):
         self.reason = reason
 
 
-class DuplicateAccount(ParseError):
-    """The same account_id appears in more than one account record."""
-
-
-class DanglingReference(ParseError):
-    """A tweet references an author with no preceding account record."""
-
-
 class UnknownAccount(DatasetError):
     """An account_id or handle does not resolve in the dataset."""

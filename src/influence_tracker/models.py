@@ -28,8 +28,9 @@ class AccountSnapshot:
     ``follower_ids`` is a sample of the account's followers at capture time;
     it may be shorter than ``followers_count`` but never longer, and never
     contains the account itself or duplicates. ``window`` is None for a
-    stub: an account whose tweets were never fetched. Counter ranges and
-    handle text are checked by the loader, not here.
+    stub: an account whose tweets were never fetched. The loader checks
+    these rules, the counter ranges and the handle text; a snapshot built
+    in memory is not checked.
     """
 
     account_id: str
@@ -39,17 +40,6 @@ class AccountSnapshot:
     follower_ids: tuple[str, ...]
     captured_at: datetime
     window: TweetWindow | None = None
-
-    def __post_init__(self):
-        if len(set(self.follower_ids)) != len(self.follower_ids):
-            raise ValueError("follower_ids contains duplicates")
-        if self.account_id in self.follower_ids:
-            raise ValueError("follower_ids must not contain the account itself")
-        if len(self.follower_ids) > self.followers_count:
-            raise ValueError(
-                f"follower_ids has {len(self.follower_ids)} entries but "
-                f"followers_count is {self.followers_count}"
-            )
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,19 @@ File format (UTF-8, one JSON object per line, "\n" or "\r\n" line ends):
 
 ``_FIELDS`` gives each field's exact JSON type: a counter is an integer
 in [0, 2**63), never a float or a boolean. The loader holds the counter
-bounds and the handle rule (valid UTF-8, every character printable, so
-a handle cannot split a table row), beside ``_FIELDS``; the record types
-check only how their fields relate. The tweet path tests the tweet row
-of ``_FIELDS`` inline, in one expression, and ``_record_kind`` words
-every field error. Lines starting with "#" are comments. Accounts must
-precede their tweets; otherwise line order is free. Every other line
-becomes a record or raises ParseError with its line number: bytes that
-are not UTF-8, invalid JSON, unknown kinds, missing or mistyped fields,
-duplicate accounts or tweet ids, handles that match an earlier
-account's handle (see ``_handle_key``), tweets without a preceding
-account record, and invariant violations. A file with no account
-record fails too: a dataset's capture instant is its latest account
-capture time.
+bounds, the handle rule (valid UTF-8, every character printable, so a
+handle cannot split a table row) and the follower-list rules, beside
+``_FIELDS``; of the record types, only ``TweetWindow`` checks itself (its
+size and order). The tweet path tests the tweet row of ``_FIELDS``
+inline, in one expression, and ``_record_kind`` words every field error.
+Lines starting with "#" are comments. Accounts must precede their
+tweets; otherwise line order is free. Every other line becomes a record
+or raises ParseError with its line number: bytes that are not UTF-8,
+invalid JSON, unknown kinds, missing or mistyped fields, duplicate
+accounts or tweet ids, handles that match an earlier account's handle
+(see ``_handle_key``), tweets without a preceding account record, and
+invariant violations. A file with no account record fails too: a
+dataset's capture instant is its latest account capture time.
 
 An account with counters but no tweets is a *stub*: a frontier account
 whose own activity was never fetched. A stub's window is None, and it
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .errors import DanglingReference, DuplicateAccount, ParseError, UnknownAccount
+from .errors import ParseError, UnknownAccount
 from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRow, TweetWindow
 
 # Each record kind's fields in file order, with the JSON type each must
@@ -159,7 +159,8 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     account are dropped (the window covers the latest 100 tweets only).
     """
     path = Path(path)
-    accounts: dict[str, AccountSnapshot] = {}
+    # Each account's checked AccountSnapshot fields in order, captured_at last.
+    checked: dict[str, tuple] = {}
     handle_owners: dict[str, str] = {}
     tweets: dict[str, dict[str, TweetRow]] = {}
 
@@ -185,9 +186,9 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 raise ParseError(line_no, "record must be a JSON object")
             if record.get("kind") != "tweet":
                 _record_kind(record, line_no)  # an account record, or it raises
-                account_id, handle = record["id"], record["handle"]
-                if account_id in accounts:
-                    raise DuplicateAccount(line_no, f"account {account_id!r} already defined")
+                account_id, handle, followers_count = record["id"], record["handle"], record["followers_count"]
+                if account_id in checked:
+                    raise ParseError(line_no, f"account {account_id!r} already defined")
                 try:
                     handle.encode("utf-8")
                 except UnicodeEncodeError:
@@ -195,20 +196,23 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 if not handle.isprintable():
                     raise ParseError(line_no, f"bad account record: handle {handle!r} is not printable")
                 try:
-                    accounts[account_id] = AccountSnapshot(
-                        account_id=account_id,
-                        handle=handle,
-                        followers_count=record["followers_count"],
-                        following_count=record["following_count"],
-                        follower_ids=tuple(record["follower_ids"]),
-                        captured_at=parse_timestamp(record["captured_at"]),
-                    )
+                    captured_at = parse_timestamp(record["captured_at"])
                 except ValueError as exc:
                     raise ParseError(line_no, f"bad account record: {exc}") from None
+                follower_ids = tuple(record["follower_ids"])
+                if len(set(follower_ids)) != len(follower_ids):
+                    raise ParseError(line_no, "bad account record: follower_ids contains duplicates")
+                if account_id in follower_ids:
+                    raise ParseError(line_no, "bad account record: follower_ids must not contain the account itself")
+                if len(follower_ids) > followers_count:
+                    raise ParseError(line_no, f"bad account record: follower_ids has {len(follower_ids)} "
+                                     f"entries but followers_count is {followers_count}")
                 owner = handle_owners.setdefault(_handle_key(handle), account_id)
                 if owner != account_id:
                     raise ParseError(line_no, f"handle {handle!r} clashes with "
                                      f"the handle of account {owner!r}")
+                checked[account_id] = (account_id, handle, followers_count, record["following_count"],
+                                       follower_ids, captured_at)
                 tweets[account_id] = {}
                 continue
             # _FIELDS["tweet"] inline; _record_kind accepts the same records and words the error.
@@ -221,24 +225,26 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 _record_kind(record, line_no)
             by_id = tweets.get(author_id)
             if by_id is None:
-                raise DanglingReference(line_no, f"tweet {tweet_id!r} references account "
-                                        f"{author_id!r} with no preceding account record")
+                raise ParseError(line_no, f"tweet {tweet_id!r} references account "
+                                 f"{author_id!r} with no preceding account record")
             if tweet_id in by_id:
                 raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
             try:
                 created_at = parse_timestamp(raw_created)
             except ValueError as exc:
                 raise ParseError(line_no, f"bad created_at: {exc}") from None
-            if created_at > accounts[author_id].captured_at:
+            if created_at > checked[author_id][-1]:
                 raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
             by_id[tweet_id] = (tweet_id, created_at, retweets, favorites, is_retweet)
 
-    if not accounts:
+    if not checked:
         raise ParseError(0, f"dataset {path.name!r} contains no account records")
 
-    for author_id, by_id in tweets.items():
-        if by_id:
-            accounts[author_id] = replace(accounts[author_id], window=TweetWindow.from_tweets(by_id.values()))
+    accounts = {}
+    for account_id, fields in checked.items():
+        by_id = tweets[account_id]
+        window = TweetWindow.from_tweets(by_id.values()) if by_id else None
+        accounts[account_id] = AccountSnapshot(*fields, window=window)
     return SnapshotDataset(dataset_id=path.stem, accounts=accounts)
 
 

@@ -307,17 +307,43 @@ class TestCompareNetworks:
         assert compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF).ttt[RankingCategory.BY_INFLUENCE] == 27.0
 
 
+def seeded_network(seed):
+    """A ttl-3 network on a 45-account snapshot, by influence for odd seeds."""
+    dataset = generate_synthetic(seed=seed, accounts=45, max_followers=10)
+    root = max(dataset.accounts, key=lambda a: len(dataset.accounts[a].follower_ids))
+    category = RankingCategory.BY_INFLUENCE if seed % 2 else RankingCategory.BY_FOLLOWERS
+    return build_network(dataset, root, 10, 3, 3, category, AS_OF)
+
+
 class TestDiffusionTotals:
     def test_matches_enumeration_on_seeded_networks(self):
         for seed in range(1, 101):
-            dataset = generate_synthetic(seed=seed, accounts=45, max_followers=10)
-            root = max(dataset.accounts, key=lambda a: len(dataset.accounts[a].follower_ids))
-            category = RankingCategory.BY_INFLUENCE if seed % 2 else RankingCategory.BY_FOLLOWERS
-            network = build_network(dataset, root, 10, 3, 3, category, AS_OF)
+            network = seeded_network(seed)
             paths = enumerate_paths(network)
             count, total = diffusion_totals(network)
             assert count == len(paths), f"seed {seed}"
             assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12, f"seed {seed}"
+
+    def test_an_added_next_layer_edge_never_lowers_the_totals(self):
+        # Every edge factor is >= 0, so a new step from layer d into layer
+        # d+1 can add paths and transmission but never take any away.
+        rng = random.Random(7)
+        grew = 0
+        for seed in range(1, 101):
+            network = seeded_network(seed)
+            layers = {}
+            for node_id, n in sorted(network.nodes.items()):
+                layers.setdefault(n.layer, []).append(node_id)
+            missing = [(src, dst) for depth in range(network.ttl) for src in layers.get(depth, ())
+                       for dst in layers.get(depth + 1, ()) if (src, dst) not in network.edges]
+            count, total = diffusion_totals(network)
+            for edge in rng.sample(missing, min(10, len(missing))):
+                network.edges.add(edge)
+                wider_count, wider_total = diffusion_totals(network)
+                assert wider_count >= count and wider_total >= total, f"seed {seed}, edge {edge}"
+                grew += wider_count > count
+                count, total = wider_count, wider_total
+        assert grew > 500  # most picks join a chain that reaches layer ttl
 
     def test_fully_connected_layers_give_k_to_the_ttl_paths(self):
         network = fully_connected(k=4, ttl=5)
