@@ -71,17 +71,22 @@ def _handle_key(handle: str) -> str:
 class SnapshotDataset:
     """All accounts, each with its tweet window, captured in one snapshot.
 
-    Not changed after load/generation, except for the private follower
-    lookup below. ``captured_at`` is the latest account capture time;
-    a dataset with no accounts raises ValueError. A loaded dataset has no
-    two handles with the same ``_handle_key``.
+    Not changed after load/generation, except for the private lookups
+    below. ``captured_at`` is the latest account capture time; a dataset
+    with no accounts raises ValueError. A loaded dataset has no two
+    handles with the same ``_handle_key``.
 
     The casefolded-handle index is built with the dataset. Each account's
     sorted resolvable follower ids are filled per account by
-    ``followers_of``. Concurrent readers stay safe: an entry is built
-    completely before it is stored in one assignment, is never changed
-    afterwards, and two readers racing to fill the same entry store equal
-    values.
+    ``followers_of``. ``_ranking_tables`` holds, for one evaluation
+    instant at a time, the influence scores and ranked follower prefixes
+    that ``network.build_network`` fills and every build at that instant
+    shares; a build at another instant replaces it, and each build reads
+    the tables it took at its start. Concurrent readers stay safe: an
+    entry is built completely before it is stored in one assignment, is
+    never changed afterwards, and two readers racing to fill the same
+    entry store equal values, or two ranked prefixes of one follower list,
+    either of which serves every budget.
     """
 
     dataset_id: str
@@ -89,6 +94,11 @@ class SnapshotDataset:
     captured_at: datetime = field(init=False)
     _by_handle: dict[str, list[AccountSnapshot]] = field(init=False, repr=False, compare=False)
     _sorted_followers: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # {as_of: (account id -> score, (category, parent id) -> ranked prefix)},
+    # one instant at most.
+    _ranking_tables: dict[datetime, tuple[dict, dict]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -1,12 +1,18 @@
 import random
 from collections import Counter
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 
 from influence_tracker import (
+    ClockSkew,
     RankingCategory,
+    SnapshotDataset,
+    TweetWindow,
     UnknownAccount,
     build_network,
+    compare_networks,
     followers_of,
     generate_synthetic,
     influence_metric,
@@ -323,6 +329,89 @@ class TestScoreTable:
                 assert node.retweet_prob == (retweet_probability(window) if window else 0.0)
             checked |= nodes
         assert any(dataset.accounts[a].window is None for a in checked)
+
+
+class TestSharedTables:
+    """Every build on one dataset at one instant shares its influence scores
+    and ranked follower prefixes; no result depends on what ran before."""
+
+    # Descending, ascending and repeated budgets.
+    BUDGETS = [(50, 3), (10, 2), (50, 5), (10, 2), (80, 4)]
+    TTL = 3
+
+    @staticmethod
+    def dataset(late_from=None):
+        """The seed-11 dataset. With ``late_from``, the active accounts
+        numbered from there on have their tweets moved a day past the
+        capture time, which is then too early an instant to score them at.
+        (A generated window ends at the capture time, so an instant before
+        it would fail every active account alike.)"""
+        dataset = generate_synthetic(seed=11, accounts=120, max_followers=60)
+        if late_from is None:
+            return dataset
+        accounts = {}
+        for account_id, snapshot in dataset.accounts.items():
+            if snapshot.window is not None and int(account_id.removeprefix("acct-")) >= late_from:
+                rows = [(tweet_id, created_at + timedelta(days=1), retweets, favorites, is_retweet)
+                        for tweet_id, created_at, retweets, favorites, is_retweet in snapshot.window.rows()]
+                snapshot = replace(snapshot, window=TweetWindow.from_tweets(rows))
+            accounts[account_id] = snapshot
+        return SnapshotDataset(dataset.dataset_id, accounts)
+
+    @staticmethod
+    def root_of(dataset):
+        return max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
+
+    def outcome(self, dataset, n_f, k):
+        """The comparison's totals, path counts, winner and network dumps, or
+        the text of the ClockSkew it raised."""
+        try:
+            result = compare_networks(dataset, self.root_of(dataset), n_f, k, self.TTL, dataset.captured_at)
+        except ClockSkew as exc:
+            return str(exc)
+        return (result.ttt, result.paths, result.difference, result.winner,
+                {category: network.to_dict() for category, network in result.networks.items()})
+
+    @pytest.mark.parametrize("budgets", [BUDGETS, BUDGETS[::-1]], ids=["listed", "reversed"])
+    @pytest.mark.parametrize("late_from", [None, 108], ids=["on-time", "late"])
+    def test_any_budget_order_matches_fresh_datasets(self, budgets, late_from):
+        shared = self.dataset(late_from)
+        outcomes = [self.outcome(shared, n_f, k) for n_f, k in budgets]
+        assert outcomes == [self.outcome(self.dataset(late_from), n_f, k) for n_f, k in budgets]
+        raised = [isinstance(outcome, str) for outcome in outcomes]
+        if late_from is None:
+            assert not any(raised)
+        else:
+            # Some budgets score a late account and some do not; the wider
+            # ones do not all reach the same late account first.
+            assert any(raised) and not all(raised)
+            assert len({outcome for outcome in outcomes if isinstance(outcome, str)}) > 1
+        fresh = self.dataset(late_from)
+        assert shared == fresh
+        assert repr(shared) == repr(fresh)
+
+    def test_each_account_is_scored_once_per_instant(self, monkeypatch):
+        calls = Counter()
+        original = network_module.influence_metric
+
+        def counting(snapshot, as_of):
+            calls[snapshot.account_id, as_of] += 1
+            return original(snapshot, as_of)
+
+        monkeypatch.setattr(network_module, "influence_metric", counting)
+        dataset = self.dataset()
+        root, first = self.root_of(dataset), dataset.captured_at
+        for n_f, k in self.BUDGETS:
+            compare_networks(dataset, root, n_f, k, self.TTL, first)
+        assert len(calls) > 100
+        assert sum(calls.values()) == len(calls)
+
+        later = first + timedelta(days=1)
+        compare_networks(dataset, root, 10, 2, self.TTL, later)
+        rescored = {account_id for account_id, as_of in calls if as_of == later}
+        assert {root} | {s.account_id for s in followers_of(dataset, root, 10)} <= rescored
+        assert sum(calls.values()) == len(calls)
+        assert list(dataset._ranking_tables) == [later]
 
 
 class TestExport:
