@@ -1,9 +1,10 @@
 """Command-line front door: score accounts, compare networks, generate data.
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse failures,
-unknown accounts, networks too large to total), 3 internal error. The default output format comes from
-the INFLUENCE_TRACKER_FORMAT environment variable (text, csv, or json);
-an explicit --format wins.
+unknown accounts, a tweet newer than --as-of, networks too large to
+total, an unreadable dataset file or unwritable --out), 3 internal
+error. The default output format comes from the INFLUENCE_TRACKER_FORMAT
+environment variable (text, csv, or json); an explicit --format wins.
 """
 
 from __future__ import annotations

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import UnknownAccount
 from .metrics import InfluenceScore, influence_metric, retweet_probability
@@ -121,9 +120,9 @@ def rank_followers(
 ) -> list[str]:
     """Top-k candidate ids by descending ``key``, ties broken by ascending id.
 
-    ``build_network`` passes the influence score from the dataset's shared
-    table for ByInfluence and the raw follower count for ByFollowers.
-    Returns at most k ids, best first.
+    ``build_network`` passes each parent's first ``n_f`` followers, with the
+    influence score from the dataset's shared table for ByInfluence and the
+    raw follower count for ByFollowers. Returns at most k ids, best first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -163,15 +162,13 @@ def build_network(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    # One table of influence scores and one of ranked follower prefixes per
-    # dataset and instant, shared by both categories and every budget; a
-    # build at another instant replaces both. Taken once, so a concurrent
-    # build at another instant cannot swap them mid-build.
-    tables = dataset._ranking_tables.get(as_of)
-    if tables is None:
-        tables = {}, {}
-        dataset._ranking_tables = {as_of: tables}
-    scores, prefixes = tables
+    # One influence-score table per dataset and instant, shared by both
+    # categories and every budget; a build at another instant replaces it.
+    # Taken once, so a concurrent build cannot swap it mid-build.
+    scores = dataset._ranking_tables.get(as_of)
+    if scores is None:
+        scores = {}
+        dataset._ranking_tables = {as_of: scores}
 
     def score_of(snapshot: AccountSnapshot) -> InfluenceScore:
         score = scores.get(snapshot.account_id)
@@ -197,27 +194,6 @@ def build_network(
     else:
         key = attrgetter("followers_count")
 
-    def selections(parent: str) -> Iterable[str]:
-        """The top k of the parent's first n_f resolvable followers.
-
-        Each parent's fetched prefix is ranked whole once and kept with its
-        ids in id order, and with whether it is the whole follower list. A
-        shorter budget keeps the ranked ids that lie in its own prefix:
-        ranking orders by (-key, id), so that is its own ranking. Only the
-        first n_f followers are ever scored, as a fresh build would, so a
-        late tweet beyond them raises no ClockSkew.
-        """
-        ids, ranked, whole = prefixes.get((category, parent), ((), (), False))
-        if n_f > len(ids) and not whole:
-            candidates = followers_of(dataset, parent, n_f)
-            ids = [snapshot.account_id for snapshot in candidates]
-            ranked = rank_followers(candidates, key, len(candidates)) if candidates else []
-            whole = len(candidates) < n_f
-            prefixes[category, parent] = ids, ranked, whole
-        if n_f >= len(ids):
-            return ranked[:k]
-        return islice(filter(set(ids[:n_f]).__contains__, ranked), k)
-
     network = LayeredNetwork(root=root, category=category, ttl=ttl)
     network.nodes[root] = node_for(root, 0)
     frontier = [root]
@@ -225,7 +201,7 @@ def build_network(
     for layer in range(ttl):
         next_frontier: list[str] = []
         for parent in frontier:
-            for selected in selections(parent):
+            for selected in rank_followers(followers_of(dataset, parent, n_f), key, k):
                 if selected == root:
                     continue
                 network.edges.add((parent, selected))

@@ -77,28 +77,25 @@ class SnapshotDataset:
     handles with the same ``_handle_key``.
 
     The casefolded-handle index is built with the dataset. Each account's
-    sorted resolvable follower ids are filled per account by
+    resolvable follower snapshots, in id order, are filled per account by
     ``followers_of``. ``_ranking_tables`` holds, for one evaluation
-    instant at a time, the influence scores and ranked follower prefixes
-    that ``network.build_network`` fills and every build at that instant
-    shares; a build at another instant replaces it, and each build reads
-    the tables it took at its start. Concurrent readers stay safe: an
-    entry is built completely before it is stored in one assignment, is
-    never changed afterwards, and two readers racing to fill the same
-    entry store equal values, or two ranked prefixes of one follower list,
-    either of which serves every budget.
+    instant at a time, the influence scores that ``network.build_network``
+    fills and every build at that instant shares; a build at another
+    instant replaces it, and each build reads the table it took at its
+    start. Concurrent readers stay safe: an entry is built completely
+    before it is stored in one assignment, is never changed afterwards,
+    and two readers racing to fill the same entry store equal values.
     """
 
     dataset_id: str
     accounts: dict[str, AccountSnapshot]
     captured_at: datetime = field(init=False)
     _by_handle: dict[str, list[AccountSnapshot]] = field(init=False, repr=False, compare=False)
-    _sorted_followers: dict[str, tuple[str, ...]] = field(
+    _sorted_followers: dict[str, tuple[AccountSnapshot, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # {as_of: (account id -> score, (category, parent id) -> ranked prefix)},
-    # one instant at most.
-    _ranking_tables: dict[datetime, tuple[dict, dict]] = field(
+    # {as_of: {account id: score}}, one instant at most.
+    _ranking_tables: dict[datetime, dict] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -291,20 +288,21 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
 def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[AccountSnapshot]:
     """Up to ``limit`` follower snapshots of an account, smallest ids first.
 
-    Follower ids with no account record are skipped. The sorted resolvable
-    ids are kept on the dataset, so each account's list is sorted once.
-    Raises UnknownAccount if the account itself is absent.
+    Follower ids with no account record are skipped. Each account's
+    resolvable snapshots are kept on the dataset, sorted once, and each
+    call returns a new list. Raises UnknownAccount if the account is absent.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if account_id not in dataset.accounts:
+    accounts = dataset.accounts
+    if account_id not in accounts:
         raise UnknownAccount(f"no account {account_id!r} in dataset {dataset.dataset_id!r}")
     resolvable = dataset._sorted_followers.get(account_id)
     if resolvable is None:
-        resolvable = dataset._sorted_followers[account_id] = tuple(sorted(
-            fid for fid in dataset.accounts[account_id].follower_ids if fid in dataset.accounts
-        ))
-    return [dataset.accounts[fid] for fid in resolvable[:limit]]
+        resolvable = dataset._sorted_followers[account_id] = tuple(
+            accounts[fid] for fid in sorted(accounts[account_id].follower_ids) if fid in accounts
+        )
+    return list(resolvable[:limit])
 
 
 _SYNTHETIC_EPOCH = datetime(2020, 6, 1, tzinfo=timezone.utc)

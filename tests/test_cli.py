@@ -465,6 +465,25 @@ class TestExitCodes:
         assert err == ("error: the by_influence network for n_f=2, k=2, ttl=1100 "
                        "has too many paths to total\n")
 
+    def test_score_tweet_newer_than_as_of_exits_2(self, capsys):
+        code, out, err = run(capsys, ["score", "--dataset", REFERENCE,
+                                      "--as-of", "2000-01-01T00:00:00Z", "SkaiGr"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: tweet acct-sg-t000 created 2023-05-01T00:00:00+00:00 "
+                       "is newer than as_of 2000-01-01T00:00:00+00:00\n")
+
+    def test_compare_tweet_newer_than_as_of_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "gen.jsonl")
+        assert main(["gen", "--seed", "1", "--accounts", "30", "--max-followers", "10", "--out", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, ["compare", "--dataset", path, "--root", "acct-00000",
+                                      "--as-of", "2020-05-01T00:00:00Z"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: tweet tw-00000-000 created 2020-06-01T00:00:00+00:00 "
+                       "is newer than as_of 2020-05-01T00:00:00+00:00\n")
+
     def test_missing_subcommand_exits_1(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 1

@@ -332,8 +332,8 @@ class TestScoreTable:
 
 
 class TestSharedTables:
-    """Every build on one dataset at one instant shares its influence scores
-    and ranked follower prefixes; no result depends on what ran before."""
+    """Every build on one dataset at one instant shares its influence scores;
+    no result depends on what ran before."""
 
     # Descending, ascending and repeated budgets.
     BUDGETS = [(50, 3), (10, 2), (50, 5), (10, 2), (80, 4)]

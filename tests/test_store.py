@@ -673,6 +673,22 @@ class TestFollowersOf:
         second = [s.account_id for s in followers_of(dataset, root, 5)]
         assert first == second
 
+    @pytest.mark.parametrize("limit", [1, 5, 50])
+    def test_each_call_returns_its_own_list(self, limit):
+        ids = ("f5", "ghost-b", "f1", "f3", "ghost-a", "f4", "f2", "f6", "f0")
+        spec = {"root": {"follower_ids": ids, "followers_count": len(ids)}}
+        spec.update({fid: {} for fid in ids if fid.startswith("f")})
+        dataset = dataset_from_spec(spec)
+        expected = ["f0", "f1", "f2", "f3", "f4", "f5", "f6"][:limit]
+
+        first = followers_of(dataset, "root", limit)
+        assert [s.account_id for s in first] == expected
+        assert all(s is dataset.accounts[s.account_id] for s in first)
+        for change in (list.reverse, lambda got: got.append(dataset.accounts["root"]), list.clear):
+            change(followers_of(dataset, "root", limit))
+            assert followers_of(dataset, "root", limit) == first
+        assert [s.account_id for s in first] == expected
+
 
 class TestGenerateSynthetic:
     def test_same_seed_same_dataset(self, tmp_path):
