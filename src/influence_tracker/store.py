@@ -12,8 +12,9 @@ in [0, 2**63), never a float or a boolean. The loader holds the counter
 bounds, the handle rule (valid UTF-8, every character printable, so a
 handle cannot split a table row) and the follower-list rules, beside
 ``_FIELDS``; of the record types, only ``TweetWindow`` checks itself (its
-size and order). The tweet path tests the tweet row of ``_FIELDS``
-inline, in one expression, and ``_record_kind`` words every field error.
+size and order). The tweet path reads a line's kind and six fields in one
+C call and tests the tweet row of ``_FIELDS`` inline, in one expression;
+any other line goes to ``_record_kind``, which words every field error.
 Lines starting with "#" are comments. Accounts must precede their
 tweets; otherwise line order is free. Every other line becomes a record
 or raises ParseError with its line number: bytes that are not UTF-8,
@@ -32,7 +33,9 @@ since they carry no counters to rank.
 
 from __future__ import annotations
 
+import gc
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -60,6 +63,8 @@ COUNT_BOUND = 2**63
 # two whitespace matches per line. json.dumps builds an encoder per call.
 _scan_json = json.JSONDecoder().scan_once
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# A tweet line's kind and six fields in one C call; KeyError on any other line.
+_tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
 
 
 def _handle_key(handle: str) -> str:
@@ -126,6 +131,12 @@ def parse_timestamp(raw: str) -> datetime:
     Raises ValueError for anything else, including an instant that falls
     outside the years 1 to 9999 once moved to UTC.
     """
+    try:  # most inputs are UTC as they stand; the grammar below words every rejection
+        ts = datetime.fromisoformat(raw)
+        if ts.tzinfo is timezone.utc:
+            return ts
+    except ValueError:
+        pass
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is timezone.utc:
         return ts
@@ -147,7 +158,7 @@ def _record_kind(record: dict, line_no: int) -> str:
         raise ParseError(line_no, f"unknown record kind {kind!r}")
     for name, json_type in fields:
         value = record.get(name)
-        if type(value) is not json_type or json_type is list and any(type(v) is not str for v in value):
+        if type(value) is not json_type or json_type is list and not {*map(type, value)} <= {str}:
             break
         if json_type is int and not 0 <= value < COUNT_BOUND:
             raise ParseError(line_no, f"bad {kind} record: {name} must be in [0, 2**63), got {value}")
@@ -164,95 +175,107 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
 
     The dataset id is the file stem. Tweets beyond the newest 100 per
     account are dropped (the window covers the latest 100 tweets only).
+    The cyclic garbage collector is off while the file loads, and is
+    turned back on afterwards only if it was on before.
     """
     path = Path(path)
     # Each account's checked AccountSnapshot fields in order, captured_at last.
     checked: dict[str, tuple] = {}
     handle_owners: dict[str, str] = {}
     tweets: dict[str, dict[str, TweetRow]] = {}
-
-    with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith(b"#"):
-                continue
-            # json.loads's checks, on a line that holds no outer whitespace.
-            try:
-                text = line.decode("utf-8")
-                if text[0] == "\ufeff":
-                    raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
-                record, end = _scan_json(text, 0)
-                if end != len(text):
-                    raise ValueError("Extra data")
-            except StopIteration:
-                raise ParseError(line_no, "invalid JSON: Expecting value") from None
-            except (ValueError, RecursionError) as exc:
-                # A JSONDecodeError's msg leaves out its position, which would read as a line number.
-                raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-            if not isinstance(record, dict):
-                raise ParseError(line_no, "record must be a JSON object")
-            if record.get("kind") != "tweet":
-                _record_kind(record, line_no)  # an account record, or it raises
-                account_id, handle, followers_count = record["id"], record["handle"], record["followers_count"]
-                if account_id in checked:
-                    raise ParseError(line_no, f"account {account_id!r} already defined")
+    author = None  # of the last tweet line; gen files group tweets by author
+    # A good load builds no reference cycles, so the collector would find nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with path.open("rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith(b"#"):
+                    continue
+                # json.loads's checks, on a line that holds no outer whitespace.
                 try:
-                    handle.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(line_no, f"bad account record: handle {handle!r} is not valid UTF-8") from None
-                if not handle.isprintable():
-                    raise ParseError(line_no, f"bad account record: handle {handle!r} is not printable")
+                    text = line.decode("utf-8")
+                    if text[0] == "\ufeff":
+                        raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+                    record, end = _scan_json(text, 0)
+                    if end != len(text):
+                        raise ValueError("Extra data")
+                except StopIteration:
+                    raise ParseError(line_no, "invalid JSON: Expecting value") from None
+                except (ValueError, RecursionError) as exc:
+                    # A JSONDecodeError's msg leaves out its position, which would read as a line number.
+                    raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+                if not isinstance(record, dict):
+                    raise ParseError(line_no, "record must be a JSON object")
                 try:
-                    captured_at = parse_timestamp(record["captured_at"])
+                    kind, tweet_id, author_id, raw_created, retweets, favorites, is_retweet = _tweet_fields(record)
+                except KeyError:
+                    kind = None
+                if kind != "tweet":
+                    _record_kind(record, line_no)  # an account record, or it raises
+                    account_id, handle, followers_count = record["id"], record["handle"], record["followers_count"]
+                    if account_id in checked:
+                        raise ParseError(line_no, f"account {account_id!r} already defined")
+                    try:
+                        handle.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError(line_no, f"bad account record: handle {handle!r} is not valid UTF-8") from None
+                    if not handle.isprintable():
+                        raise ParseError(line_no, f"bad account record: handle {handle!r} is not printable")
+                    try:
+                        captured_at = parse_timestamp(record["captured_at"])
+                    except ValueError as exc:
+                        raise ParseError(line_no, f"bad account record: {exc}") from None
+                    follower_ids = tuple(record["follower_ids"])
+                    if len(set(follower_ids)) != len(follower_ids):
+                        raise ParseError(line_no, "bad account record: follower_ids contains duplicates")
+                    if account_id in follower_ids:
+                        raise ParseError(line_no, "bad account record: follower_ids must not contain the account itself")
+                    if len(follower_ids) > followers_count:
+                        raise ParseError(line_no, f"bad account record: follower_ids has {len(follower_ids)} "
+                                         f"entries but followers_count is {followers_count}")
+                    owner = handle_owners.setdefault(_handle_key(handle), account_id)
+                    if owner != account_id:
+                        raise ParseError(line_no, f"handle {handle!r} clashes with "
+                                         f"the handle of account {owner!r}")
+                    checked[account_id] = (account_id, handle, followers_count, record["following_count"],
+                                           follower_ids, captured_at)
+                    tweets[account_id] = {}
+                    continue
+                # _FIELDS["tweet"] inline; _record_kind accepts the same records and words the error.
+                if not (type(tweet_id) is str and type(author_id) is str and type(raw_created) is str
+                        and type(retweets) is int and type(favorites) is int and type(is_retweet) is bool
+                        and 0 <= retweets < COUNT_BOUND and 0 <= favorites < COUNT_BOUND):
+                    _record_kind(record, line_no)
+                if author_id != author:  # a new author: look up its tweet dict and capture time
+                    by_id = tweets.get(author_id)
+                    if by_id is None:
+                        raise ParseError(line_no, f"tweet {tweet_id!r} references account "
+                                         f"{author_id!r} with no preceding account record")
+                    author, author_captured_at = author_id, checked[author_id][-1]
+                if tweet_id in by_id:
+                    raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
+                try:
+                    created_at = parse_timestamp(raw_created)
                 except ValueError as exc:
-                    raise ParseError(line_no, f"bad account record: {exc}") from None
-                follower_ids = tuple(record["follower_ids"])
-                if len(set(follower_ids)) != len(follower_ids):
-                    raise ParseError(line_no, "bad account record: follower_ids contains duplicates")
-                if account_id in follower_ids:
-                    raise ParseError(line_no, "bad account record: follower_ids must not contain the account itself")
-                if len(follower_ids) > followers_count:
-                    raise ParseError(line_no, f"bad account record: follower_ids has {len(follower_ids)} "
-                                     f"entries but followers_count is {followers_count}")
-                owner = handle_owners.setdefault(_handle_key(handle), account_id)
-                if owner != account_id:
-                    raise ParseError(line_no, f"handle {handle!r} clashes with "
-                                     f"the handle of account {owner!r}")
-                checked[account_id] = (account_id, handle, followers_count, record["following_count"],
-                                       follower_ids, captured_at)
-                tweets[account_id] = {}
-                continue
-            # _FIELDS["tweet"] inline; _record_kind accepts the same records and words the error.
-            tweet_id, author_id, raw_created, retweets, favorites, is_retweet = (
-                record.get("id"), record.get("author_id"), record.get("created_at"),
-                record.get("retweet_count"), record.get("favorite_count"), record.get("is_retweet"))
-            if not (type(tweet_id) is str and type(author_id) is str and type(raw_created) is str
-                    and type(retweets) is int and type(favorites) is int and type(is_retweet) is bool
-                    and 0 <= retweets < COUNT_BOUND and 0 <= favorites < COUNT_BOUND):
-                _record_kind(record, line_no)
-            by_id = tweets.get(author_id)
-            if by_id is None:
-                raise ParseError(line_no, f"tweet {tweet_id!r} references account "
-                                 f"{author_id!r} with no preceding account record")
-            if tweet_id in by_id:
-                raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
-            try:
-                created_at = parse_timestamp(raw_created)
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad created_at: {exc}") from None
-            if created_at > checked[author_id][-1]:
-                raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
-            by_id[tweet_id] = (tweet_id, created_at, retweets, favorites, is_retweet)
+                    raise ParseError(line_no, f"bad created_at: {exc}") from None
+                if created_at > author_captured_at:
+                    raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
+                by_id[tweet_id] = (tweet_id, created_at, retweets, favorites, is_retweet)
 
-    if not checked:
-        raise ParseError(0, f"dataset {path.name!r} contains no account records")
+        if not checked:
+            raise ParseError(0, f"dataset {path.name!r} contains no account records")
 
-    accounts = {}
-    for account_id, fields in checked.items():
-        by_id = tweets[account_id]
-        window = TweetWindow.from_tweets(by_id.values()) if by_id else None
-        accounts[account_id] = AccountSnapshot(*fields, window=window)
-    return SnapshotDataset(dataset_id=path.stem, accounts=accounts)
+        accounts = {}
+        for account_id, fields in checked.items():
+            by_id = tweets[account_id]
+            window = TweetWindow.from_tweets(by_id.values()) if by_id else None
+            accounts[account_id] = AccountSnapshot(*fields, window=window)
+        return SnapshotDataset(dataset_id=path.stem, accounts=accounts)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:

@@ -48,7 +48,8 @@ CASES = [
         id="compare-json-batched-dump",
     ),
     pytest.param(
-        "gen-7", ["compare", "--root", "acct-00013", "--nf", "5,15,15", "--k", "2,3,5", "--ttl", "4", "--format", "csv"],
+        "gen-7", ["compare", "--root", "acct-00013", "--nf", "5,15,15", "--k", "2,3,5", "--ttl", "4",
+                  "--format", "csv"],
         0, "5b1fd269acee2504f0ae431c1d830b37f02446e7268ed92dcfb827fbffe01a54", "",
         id="compare-csv-batched",
     ),

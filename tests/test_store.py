@@ -1,10 +1,11 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import re
 import tempfile
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,105 @@ class TestTweetLineCheck:
         monkeypatch.setattr(store, "_record_kind", counting)
         load_dataset(path)
         assert checked == ["account"] * kinds.count("account")
+
+
+class TestLoaderState:
+    """The loader keeps the current author in locals and pauses the cyclic
+    collector; neither may show in what a load returns or leaves behind."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("tail", [[], ["{bad"]], ids=["good", "parse-error"])
+    def test_collector_state_is_restored(self, tmp_path, enabled, tail):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with contextlib.suppress(ParseError):
+                load_dataset(write_lines(tmp_path, *SMALL_SNAPSHOT, *tail))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_good_load_leaves_no_cycles(self, tmp_path):
+        path = tmp_path / "gen.jsonl"
+        save_dataset(generate_synthetic(seed=5, accounts=40, max_followers=10), path)
+        gc.collect()
+        dataset = load_dataset(path)
+        assert gc.collect() == 0
+        assert dataset.accounts
+
+    def test_interleaved_authors_load_as_grouped(self, tmp_path):
+        a_tweets = [tweet_line(f"a{i}", "a", days_ago=i / 4, retweets=i) for i in range(4)]
+        b_tweets = [tweet_line(f"b{i}", "b", days_ago=i / 3, favorites=i) for i in range(3)]
+        accounts = [account_line("a"), account_line("b")]
+        grouped = load_dataset(write_lines(tmp_path, *accounts, *a_tweets, *b_tweets, name="grouped.jsonl"))
+        interleaved = load_dataset(write_lines(
+            tmp_path, *accounts, *a_tweets[:2], *b_tweets, *a_tweets[2:], name="interleaved.jsonl"))
+        assert interleaved.accounts == grouped.accounts
+        assert interleaved.accounts["a"].window.window_size == 4
+
+    def test_duplicate_across_another_author_fails_at_its_line(self, tmp_path):
+        path = write_lines(tmp_path, account_line("a"), account_line("b"), tweet_line("t1", "a"),
+                           tweet_line("t2", "b"), tweet_line("t1", "a"))
+        with pytest.raises(ParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == "line 5: duplicate tweet id 't1' for 'a'"
+        assert info.value.line_no == 5
+
+    def test_unknown_author_after_another_authors_tweets_fails_at_its_line(self, tmp_path):
+        path = write_lines(tmp_path, account_line("a"), tweet_line("t1", "a"), tweet_line("t2", "a"),
+                           tweet_line("t3", "ghost"), account_line("ghost"))
+        with pytest.raises(ParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == "line 4: tweet 't3' references account 'ghost' with no preceding account record"
+        assert info.value.line_no == 4
+
+
+def parse_timestamp_before_the_utc_fast_path(raw):
+    """``store.parse_timestamp`` as it was before it tried
+    ``datetime.fromisoformat`` on the raw string first."""
+    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    if ts.tzinfo is timezone.utc:
+        return ts
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {raw!r} is out of range in UTC") from None
+
+
+def timestamp_outcome(parse, raw):
+    """What ``parse`` makes of ``raw``: the instant, or the error's type and words."""
+    try:
+        ts = parse(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert ts.tzinfo is timezone.utc
+    return ts
+
+
+class TestParseTimestamp:
+    """The UTC fast path accepts, returns and rejects exactly what the one
+    grammar did before it, on the running Python: its version decides what
+    ``fromisoformat`` takes, so CI holds this on every version it runs."""
+
+    @pytest.mark.parametrize("raw", [
+        "2020-06-01T00:00:00.5+00:00", "2020-06-01T00:00:00.123456789Z", "20200601T000000Z",
+        "2020-06-01T00:00:00,5+00:00", "2020-06-01t00:00:00z", "2020-06-01t00:00:00Z", "2020-06-01T00:00:00z",
+        "2020-06-01T00:00:00Z", "2020-06-01T00:00:00+00:00", "2020-06-01T00:00:00-00:00", "2020-06-01T00:00:00",
+        "2020-06-01T05:30:00+05:30", "0001-01-01T00:00:00+01:00", "", "garbage", "Z",
+    ])
+    def test_same_outcome_as_before(self, raw):
+        before = timestamp_outcome(parse_timestamp_before_the_utc_fast_path, raw)
+        assert timestamp_outcome(store.parse_timestamp, raw) == before
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789-T:+Z.,tz ", max_size=32)
+           | st.builds(str.__add__, st.sampled_from(["2020-06-01T00:00:00", "0001-01-01T00:00", "9999-12-31"]),
+                       st.text(alphabet="0123456789-:+Z.,z", max_size=8)))
+    def test_same_outcome_as_before_on_near_timestamps(self, raw):
+        before = timestamp_outcome(parse_timestamp_before_the_utc_fast_path, raw)
+        assert timestamp_outcome(store.parse_timestamp, raw) == before
 
 
 class TestResolve:
