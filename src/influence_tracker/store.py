@@ -63,7 +63,7 @@ COUNT_BOUND = 2**63
 # two whitespace matches per line. json.dumps builds an encoder per call.
 _scan_json = json.JSONDecoder().scan_once
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
-# A tweet line's kind and six fields in one C call; KeyError on any other line.
+# A tweet line's kind and six fields in one C call; KeyError if one is missing.
 _tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
 
 
