@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse failures,
 unknown accounts, a tweet newer than --as-of, networks too large to
-total, an unreadable dataset file or unwritable --out), 3 internal
-error. The default output format comes from the INFLUENCE_TRACKER_FORMAT
-environment variable (text, csv, or json); an explicit --format wins.
+total, an unreadable dataset file or unwritable --out, output that
+stdout's encoding cannot hold), 3 internal error. The default output
+format comes from the INFLUENCE_TRACKER_FORMAT environment variable
+(text, csv, or json); an explicit --format wins.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from datetime import datetime
 from .diffusion import compare_networks
 from .errors import InfluenceTrackerError
 from .reports import render_compare, render_score, score_rows
-from .store import followers_of, generate_synthetic, load_dataset, parse_timestamp, save_dataset
+from .store import SnapshotDataset, followers_of, generate_synthetic, load_dataset, parse_timestamp, save_dataset
 
 FORMATS = ("text", "csv", "json")
 FORMAT_ENV_VAR = "INFLUENCE_TRACKER_FORMAT"
@@ -32,13 +33,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}".rstrip())
 
 
-def _parse_as_of(raw: str | None) -> datetime | None:
-    if raw is None:
-        return None
+def _load(args) -> tuple[SnapshotDataset, datetime]:
+    """Parse --as-of, then load --dataset; the instant defaults to its capture time."""
     try:
-        return parse_timestamp(raw)
+        as_of = None if args.as_of is None else parse_timestamp(args.as_of)
     except ValueError:
-        raise UsageError(f"cannot parse timestamp {raw!r} (expected RFC 3339)") from None
+        raise UsageError(f"cannot parse timestamp {args.as_of!r} (expected RFC 3339)") from None
+    dataset = load_dataset(args.dataset)
+    return dataset, as_of or dataset.captured_at
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -49,21 +51,15 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 
 def _resolve_format(explicit: str | None) -> str:
-    if explicit is not None:
-        return explicit
-    from_env = os.environ.get(FORMAT_ENV_VAR)
-    if from_env is None:
-        return "text"
-    if from_env not in FORMATS:
-        raise UsageError(f"{FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, got {from_env!r}")
-    return from_env
+    fmt = explicit or os.environ.get(FORMAT_ENV_VAR, "text")
+    if fmt not in FORMATS:
+        raise UsageError(f"{FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    return fmt
 
 
 def cmd_score(args) -> int:
     fmt = _resolve_format(args.format)
-    explicit_as_of = _parse_as_of(args.as_of)
-    dataset = load_dataset(args.dataset)
-    as_of = explicit_as_of or dataset.captured_at
+    dataset, as_of = _load(args)
     scored = score_rows(dataset, args.handles, as_of)
     for row, clamped in scored:
         if clamped:
@@ -79,15 +75,14 @@ def cmd_compare(args) -> int:
     fmt = _resolve_format(args.format)
     n_f_values = _parse_int_list(args.nf, "--nf")
     k_values = _parse_int_list(args.k, "--k")
-    if len(n_f_values) == 1 and len(k_values) > 1:
-        n_f_values = n_f_values * len(k_values)
-    if len(k_values) == 1 and len(n_f_values) > 1:
-        k_values = k_values * len(n_f_values)
+    if len(n_f_values) == 1:
+        n_f_values *= len(k_values)
+    if len(k_values) == 1:
+        k_values *= len(n_f_values)
     if len(n_f_values) != len(k_values):
         raise UsageError(
             f"--nf and --k must pair up, got {len(n_f_values)} and {len(k_values)} values"
         )
-    explicit_as_of = _parse_as_of(args.as_of)
     configs = list(zip(n_f_values, k_values))
     for n_f, k in configs:
         if k < 1 or n_f < k:
@@ -95,8 +90,7 @@ def cmd_compare(args) -> int:
     if args.ttl < 1:
         raise UsageError(f"ttl must be >= 1, got {args.ttl}")
 
-    dataset = load_dataset(args.dataset)
-    as_of = explicit_as_of or dataset.captured_at
+    dataset, as_of = _load(args)
     root = dataset.resolve(args.root)
 
     # With n_f >= k >= 1, both networks of every budget are empty exactly
@@ -131,7 +125,7 @@ def cmd_gen(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="influence-tracker", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="influence-tracker", description="Command-line front door: score accounts, compare networks, generate data.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     score = sub.add_parser("score", help="score accounts and print a ranked table")
@@ -147,7 +141,7 @@ def build_parser() -> _Parser:
     compare.add_argument("--nf", default="50", help="followers fetched per node; comma list for batches (default 50)")
     compare.add_argument("--k", default="3", help="top-k selections per node; comma list for batches (default 3)")
     compare.add_argument("--ttl", type=int, default=3, help="layer budget (default 3)")
-    compare.add_argument("--as-of", dest="as_of", help="evaluation instant (RFC 3339)")
+    compare.add_argument("--as-of", dest="as_of", help="evaluation instant (RFC 3339); defaults to the dataset capture time")
     compare.add_argument("--format", choices=FORMATS, help="output format (default from env, else text)")
     compare.add_argument("--dump-networks", action="store_true",
                          help="embed both network dumps in JSON output")
@@ -163,17 +157,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser per process: its objects form reference cycles, left as garbage if built per call.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "command", None) is None:
-            raise UsageError(parser.format_usage().rstrip())
+            raise UsageError(_PARSER.format_usage().rstrip())
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (InfluenceTrackerError, OSError) as exc:
+    except (InfluenceTrackerError, OSError, UnicodeEncodeError) as exc:  # a write stdout cannot encode writes nothing
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant breakage; never expected

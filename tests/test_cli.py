@@ -1,6 +1,11 @@
+import gc
 import hashlib
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
+import influence_tracker
 from influence_tracker import generate_synthetic, load_dataset, save_dataset
 from influence_tracker.cli import main
 from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps
@@ -37,6 +43,16 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, *interpreter_flags, **env):
+    """Run the CLI in a fresh interpreter, INFLUENCE_TRACKER_FORMAT unset and ``env`` added."""
+    environ = {k: v for k, v in os.environ.items() if k != "INFLUENCE_TRACKER_FORMAT"}
+    environ["PYTHONPATH"] = str(Path(influence_tracker.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, *interpreter_flags, "-m", "influence_tracker.cli", *argv],
+        capture_output=True, timeout=60, env={**environ, **env},
+    )
 
 
 class TestScore:
@@ -517,6 +533,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "demo.jsonl" in err
 
+    @pytest.fixture
+    def accented_path(self, tmp_path):
+        path = tmp_path / "accented.jsonl"
+        save_dataset(dataset_from_spec({
+            "jose": {"handle": "Jos\u00e9", "follower_ids": ("fan",), "retweet_fraction": 0.5},
+            "fan": {"retweet_fraction": 0.5},
+        }), path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["score", "jose"], ["score", "--format", "csv", "jose"], ["compare", "--root", "jose"],
+    ], ids=["score-text", "score-csv", "compare-text"])
+    def test_output_stdout_cannot_encode_exits_2(self, accented_path, command):
+        proc = run_process([command[0], "--dataset", accented_path, *command[1:]], PYTHONIOENCODING="ascii")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert re.fullmatch(rb"error: 'ascii' codec can't encode character '\\xe9' "
+                            rb"in position \d+: ordinal not in range\(128\)\n", proc.stderr)
+
+    def test_json_output_is_ascii_so_any_stdout_holds_it(self, accented_path):
+        argv = ["score", "--dataset", accented_path, "--format", "json", "jose"]
+        ascii_run = run_process(argv, PYTHONIOENCODING="ascii")
+        utf8_run = run_process(argv, PYTHONIOENCODING="utf-8")
+        assert ascii_run.returncode == utf8_run.returncode == 0
+        assert ascii_run.stdout == utf8_run.stdout
+        assert b'"handle": "Jos\\u00e9"' in ascii_run.stdout
+
     def test_keyboard_interrupt_propagates(self, capsys, monkeypatch):
         import influence_tracker.cli as cli_module
 
@@ -527,6 +570,39 @@ class TestExitCodes:
         with pytest.raises(KeyboardInterrupt):
             main(["score", "--dataset", REFERENCE, "x"])
         assert capsys.readouterr().err == ""
+
+
+class TestOneParserPerProcess:
+    def test_optimized_interpreter_prints_the_same_bytes(self):
+        # Under -OO every docstring is None; the parser must not need one.
+        argv = ["score", "--dataset", REFERENCE, "SkaiGr", "YourAnonNews"]
+        plain, optimized = run_process(argv), run_process(argv, "-OO")
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout != b""
+
+    # A usage error that argparse words itself (a missing --root, say) is
+    # left out: its usage text comes from a new argparse HelpFormatter, whose
+    # sections hold bound methods of the formatter, 6 objects in a cycle.
+    @pytest.mark.parametrize("argv, code", [
+        (["score", "--dataset", REFERENCE, "SkaiGr"], 0),
+        (["compare", "--dataset", "{data}", "--root", "acct-00000", "--format", "json", "--dump-networks"], 0),
+        (["score", "--dataset", "{absent}", "x"], 2),
+        (["compare", "--dataset", "{data}", "--root", "acct-00000", "--nf", "2", "--k", "3"], 1),
+    ], ids=["score", "compare-dump", "missing-file", "bad-budget"])
+    def test_a_call_leaves_no_cyclic_garbage(self, capsys, synthetic_path, tmp_path, argv, code):
+        argv = [arg.format(data=synthetic_path, absent=tmp_path / "absent.jsonl") for arg in argv]
+        assert main(argv) == code  # warm-up: lazy imports and first-call caches
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == code
+            freed = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert freed == 0
 
 
 class TestQuickStart:

@@ -220,6 +220,24 @@ class TestTotalTweetTransmission:
         rescored = total_tweet_transmission(enumerate_paths(scaled))
         assert rescored == pytest.approx(base, rel=1e-12)
 
+    def test_path_product_telescopes(self):
+        # Along root = a0, a1, ..., a_ttl the tcr ratios of the edge factors
+        # cancel: a path scores (tcr[ttl] / tcr[0]) * rp[1] * ... * rp[ttl].
+        # A stub (no tweets, so tcr and rp 0) zeroes every path through it.
+        paths = through_stub = 0
+        for seed in range(1, 101):
+            network = seeded_network(seed)
+            for path in enumerate_paths(network):
+                chain = [network.nodes[node_id] for node_id in path.nodes[:-1]]
+                paths += 1
+                if any(n.tcr == 0 for n in chain):
+                    through_stub += 1
+                    assert path.path_tt == 0.0, f"seed {seed}, path {path.nodes}"
+                    continue
+                telescoped = chain[-1].tcr / chain[0].tcr * math.prod(n.retweet_prob for n in chain[1:])
+                assert relative_gap(path.path_tt, telescoped) < 1e-12, f"seed {seed}, path {path.nodes}"
+        assert (paths, through_stub) == (1146, 398)
+
     def test_prefix_totals_never_decrease(self):
         dataset = generate_synthetic(seed=31, accounts=50, max_followers=12)
         root = max(dataset.accounts, key=lambda a: len(dataset.accounts[a].follower_ids))
