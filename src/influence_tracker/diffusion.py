@@ -102,38 +102,34 @@ def diffusion_totals(network: LayeredNetwork) -> tuple[int, float]:
     """(path count, total transmission) of the paths enumerate_paths lists,
     without listing them.
 
-    Each node reached on layer d carries the number of chains root, layer 1,
-    ..., layer d that end at it and the sum of their products; following
-    its successors into layer d+1 extends all of them at once. The totals
-    are those of the nodes reached at depth ttl. Nodes and successors are
-    visited, and the end totals added up, left to right in sorted order, so
-    the summation order depends neither on hashing nor on the Python
-    version (``sum()`` of floats is compensated from 3.12 on).
-    Costs O(nodes + edges) where enumeration costs O(k^ttl).
+    One pass over the nodes in (layer, id) order, a topological order of
+    the next-layer steps: ``chains`` maps each node that a chain from the
+    root reaches to the number of those chains and the sum of their
+    products. A node ttl layers below the root adds its pair to the totals;
+    any other pushes it along its successors. So every sum is taken left to
+    right in sorted order, whatever the hashing or the Python version
+    (``sum()`` of floats is compensated from 3.12 on). Costs O(nodes +
+    edges) where enumeration costs O(k^ttl).
     """
     nodes = network.nodes
     if network.root not in nodes:
         return 0, 0.0
     adjacency = network.successors()
-    reached = {network.root: (1, 1.0)}
-    for _ in range(network.ttl):
-        if not reached:
-            break
-        ahead: dict[str, tuple[int, float]] = {}
-        for src in sorted(reached):
-            count, total = reached[src]
-            for dst in adjacency[src]:
-                dst_count, dst_total = ahead.get(dst, (0, 0.0))
-                ahead[dst] = (
-                    dst_count + count,
-                    dst_total + total * tweet_transmission(nodes[src], nodes[dst]),
-                )
-        reached = ahead
+    last_layer = nodes[network.root].layer + network.ttl
+    chains = {network.root: (1, 1.0)}
     path_count, transmission = 0, 0.0
-    for node_id in sorted(reached):
-        count, total = reached[node_id]
-        path_count += count
-        transmission += total
+    for src in network.sorted_nodes():
+        chain = chains.get(src.account_id)
+        if chain is None:
+            continue
+        count, total = chain
+        if src.layer == last_layer:
+            path_count += count
+            transmission += total
+            continue
+        for dst in adjacency[src.account_id]:
+            dst_count, dst_total = chains.get(dst, (0, 0.0))
+            chains[dst] = (dst_count + count, dst_total + total * tweet_transmission(src, nodes[dst]))
     return path_count, transmission
 
 

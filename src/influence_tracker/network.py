@@ -148,7 +148,9 @@ def build_network(
     Per node at layer n < ttl: fetch up to ``n_f`` followers, rank them
     under ``category``, select the top ``k``. New accounts join at layer
     n+1; known accounts only gain an edge. Selections of the root are
-    dropped. Expansion stops once a layer adds no account.
+    dropped. Nodes are expanded in the order they joined, which runs
+    layer by layer; expansion stops at the first node on layer ttl, or
+    once every node that joined has been expanded.
 
     A root with no resolvable followers yields a degenerate network (the
     root alone, no paths); callers are expected to report that, not fail.
@@ -196,19 +198,16 @@ def build_network(
 
     network = LayeredNetwork(root=root, category=category, ttl=ttl)
     network.nodes[root] = node_for(root, 0)
-    frontier = [root]
-
-    for layer in range(ttl):
-        next_frontier: list[str] = []
-        for parent in frontier:
-            for selected in rank_followers(followers_of(dataset, parent, n_f), key, k):
-                if selected == root:
-                    continue
-                network.edges.add((parent, selected))
-                if selected not in network.nodes:
-                    network.nodes[selected] = node_for(selected, layer + 1)
-                    next_frontier.append(selected)
-        frontier = next_frontier
-        if not frontier:
+    joined = [root]
+    for parent in joined:  # grows while it is walked, one layer after another
+        layer = network.nodes[parent].layer + 1
+        if layer > ttl:
             break
+        for selected in rank_followers(followers_of(dataset, parent, n_f), key, k):
+            if selected == root:
+                continue
+            network.edges.add((parent, selected))
+            if selected not in network.nodes:
+                network.nodes[selected] = node_for(selected, layer)
+                joined.append(selected)
     return network

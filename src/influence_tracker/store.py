@@ -126,18 +126,16 @@ class SnapshotDataset:
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """An RFC 3339 instant in UTC; one without an offset is taken as UTC.
+    """An instant in ``fromisoformat``'s grammar, moved to UTC; ``Z`` is read
+    as +00:00 also on 3.10, and an instant with no offset is taken as UTC.
 
     Raises ValueError for anything else, including an instant that falls
     outside the years 1 to 9999 once moved to UTC.
     """
-    try:  # most inputs are UTC as they stand; the grammar below words every rejection
+    try:
         ts = datetime.fromisoformat(raw)
-        if ts.tzinfo is timezone.utc:
-            return ts
-    except ValueError:
-        pass
-    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    except ValueError:  # 3.10 does not read "Z"; the retry words every rejection
+        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is timezone.utc:
         return ts
     if ts.tzinfo is None:

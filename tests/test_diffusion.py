@@ -411,6 +411,39 @@ class TestDiffusionTotals:
         assert count == len(paths) == 8
         assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12
 
+    # Nodes that no chain of next-layer steps from the root reaches, each
+    # with rates that would change the totals if it were counted.
+    UNREACHED = {
+        # A second layer-0 node, with steps into layer 1 of its own.
+        "second-root": ([node("other", 0, tcr=2.0)], {("other", "d1-0"), ("other", "d1-1")}),
+        # A layer-ttl node whose only edge in skips layer 1.
+        "skip-edge": ([node("skipped", 2, tcr=3.0, rt=0.9)], {("root", "skipped")}),
+        # A node one step past layer ttl, below every layer-ttl node.
+        "past-ttl": ([node("deep", 3, tcr=4.0, rt=0.9)], {("d2-0", "deep"), ("d2-1", "deep")}),
+    }
+
+    @pytest.mark.parametrize("case", UNREACHED)
+    def test_nodes_no_next_layer_step_reaches_add_nothing(self, case):
+        extra_nodes, extra_edges = self.UNREACHED[case]
+        network = fully_connected(k=2, ttl=2, seed=3)
+        want = diffusion_totals(network)
+        network.nodes.update((n.account_id, n) for n in extra_nodes)
+        network.edges |= extra_edges
+        paths = enumerate_paths(network)
+        count, total = diffusion_totals(network)
+        assert count == len(paths) == 4
+        assert relative_gap(total, total_tweet_transmission(paths)) < 1e-12
+        assert (count, total) == want
+
+    def test_shifting_every_layer_leaves_the_totals_unchanged(self):
+        # Chains end ttl layers below the root, wherever the root sits.
+        network = fully_connected(k=3, ttl=3, seed=4)
+        shifted = dataclasses.replace(network, nodes={
+            account_id: dataclasses.replace(n, layer=n.layer + 2) for account_id, n in network.nodes.items()
+        })
+        assert diffusion_totals(shifted) == diffusion_totals(network)
+        assert len(enumerate_paths(shifted)) == 27
+
 
 class TestSuccessors:
     def test_only_steps_into_the_next_layer(self):

@@ -277,6 +277,33 @@ class TestBuildNetwork:
         assert "big" not in by_influence.nodes
 
 
+class TestExpansion:
+    """A build fetches the followers of each node below layer ttl once, and
+    of no other node."""
+
+    @pytest.mark.parametrize("ttl", [1, 2, 3, 40])
+    @pytest.mark.parametrize("category", BOTH_CATEGORIES)
+    def test_expands_exactly_the_nodes_below_ttl(self, monkeypatch, ttl, category):
+        calls = Counter()
+        original = network_module.followers_of
+
+        def counting(dataset, account_id, limit):
+            calls[account_id] += 1
+            return original(dataset, account_id, limit)
+
+        monkeypatch.setattr(network_module, "followers_of", counting)
+        dataset = generate_synthetic(seed=5, accounts=40, max_followers=8)
+        root = max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
+        network = build_network(dataset, root, 8, 2, ttl, category, AS_OF)
+        layers = [n.layer for n in network.nodes.values()]
+        assert calls == Counter(a for a, n in network.nodes.items() if n.layer < ttl)
+        assert layers == sorted(layers)  # nodes join layer by layer
+        if ttl == 40:
+            assert max(layers) < ttl - 1  # the network stopped growing first
+        else:
+            assert max(layers) == ttl
+
+
 class TestScoreTable:
     """Each build scores an account at most once, and only when needed."""
 
