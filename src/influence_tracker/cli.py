@@ -5,7 +5,8 @@ unknown accounts, a tweet newer than --as-of, networks too large to
 total, an unreadable dataset file or unwritable --out, output that
 stdout's encoding cannot hold), 3 internal error. The default output
 format comes from the INFLUENCE_TRACKER_FORMAT environment variable
-(text, csv, or json); an explicit --format wins.
+(text, csv, or json); an explicit --format wins. A command runs with
+the cyclic garbage collector paused, since it builds no reference cycles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from datetime import datetime
 from .diffusion import compare_networks
 from .errors import InfluenceTrackerError
 from .reports import render_compare, render_score, score_rows
-from .store import SnapshotDataset, followers_of, generate_synthetic, load_dataset, parse_timestamp, save_dataset
+from .store import SnapshotDataset, _collector_paused, followers_of, generate_synthetic, load_dataset, parse_timestamp, save_dataset
 
 FORMATS = ("text", "csv", "json")
 FORMAT_ENV_VAR = "INFLUENCE_TRACKER_FORMAT"
@@ -166,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError(_PARSER.format_usage().rstrip())
-        return args.func(args)
+        with _collector_paused():  # a command builds no reference cycles
+            return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

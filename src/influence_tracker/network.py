@@ -82,8 +82,10 @@ class LayeredNetwork:
         return adj
 
     def sorted_nodes(self) -> list[NetworkNode]:
-        """Nodes ordered by (layer, account_id)."""
-        return sorted(self.nodes.values(), key=attrgetter("layer", "account_id"))
+        """Nodes ordered by (layer, account_id): sorted by id, then stably by layer."""
+        nodes = sorted(self.nodes.values(), key=attrgetter("account_id"))
+        nodes.sort(key=attrgetter("layer"))
+        return nodes
 
     def to_dict(self) -> dict:
         """JSON-ready dump: node records then edge records, fully sorted, with
@@ -191,8 +193,11 @@ def build_network(
         )
 
     if category is RankingCategory.BY_INFLUENCE:
-        def key(snapshot: AccountSnapshot) -> float:
-            return score_of(snapshot).value
+        def key(snapshot: AccountSnapshot) -> float:  # reads the table itself: one frame a call
+            score = scores.get(snapshot.account_id)
+            if score is None:
+                score = score_of(snapshot)
+            return score.value
     else:
         key = attrgetter("followers_count")
 

@@ -33,6 +33,7 @@ since they carry no counters to rank.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import operator
@@ -65,6 +66,18 @@ _scan_json = json.JSONDecoder().scan_once
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # A tweet line's kind and six fields in one C call; KeyError if one is missing.
 _tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """The cyclic collector off for the block, back on after it only if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _handle_key(handle: str) -> str:
@@ -183,9 +196,7 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     tweets: dict[str, dict[str, TweetRow]] = {}
     author = None  # of the last tweet line; gen files group tweets by author
     # A good load builds no reference cycles, so the collector would find nothing.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         with path.open("rb") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -271,9 +282,6 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
             window = TweetWindow.from_tweets(by_id.values()) if by_id else None
             accounts[account_id] = AccountSnapshot(*fields, window=window)
         return SnapshotDataset(dataset_id=path.stem, accounts=accounts)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
+import hashlib
 import itertools
 import math
 import subprocess
@@ -13,20 +14,26 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from influence_tracker import (
+    LayeredNetwork,
+    NetworkNode,
     RankingCategory,
     build_network,
     compare_networks,
+    diffusion_totals,
     enumerate_paths,
     generate_synthetic,
     h_index,
     influence_metric,
+    retweet_probability,
     total_tweet_transmission,
 )
 from influence_tracker.cli import main
+from influence_tracker.diffusion import TIE_TOLERANCE
 from influence_tracker.reports import COMPARE_COLUMNS
 
 from conftest import AS_OF, complete_tree_spec, dataset_from_spec, make_account, make_window
 from test_diffusion import brute_force_paths
+from test_network import reference_expansion
 
 DATA_DIR = Path(__file__).parent / "data"
 REFERENCE = str(DATA_DIR / "reference_accounts.jsonl")
@@ -54,6 +61,13 @@ ESCALATION_SEED = 19  # frozen: exhibits non-decreasing totals for both categori
 # network wins. Seeds 1-24 give 84 of 96; these eight take about 1.5 s.
 CLAIM_SEEDS = range(1, 9)
 CLAIM_INFLUENCE_WINS = 27
+
+# The null model, pinned: over the same seeds, budgets and recipe, how many
+# comparisons a network ranked by each key wins against by-followers. The
+# random key is the same for an account whatever the call order; OOM x FTF
+# is the influence score without its TCR factor. Seeds 1-24 give 84, 91,
+# 56 and 52 of 96.
+NULL_MODEL_WINS = {"influence": 27, "tcr": 30, "random": 16, "oom_ftf": 14}
 
 
 @contextmanager
@@ -260,6 +274,56 @@ def test_influence_ranked_networks_win_most_budgets():
                 winners.append(compare_networks(dataset, root, n_f, k, 3, dataset.captured_at).winner)
         assert None not in winners
         assert winners.count(RankingCategory.BY_INFLUENCE) == CLAIM_INFLUENCE_WINS
+
+
+def random_key(seed, account_id):
+    """A uniform draw in [0, 1) from sha256 of the seed and the account id."""
+    digest = hashlib.sha256(f"{seed}/{account_id}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def keyed_total(dataset, root, n_f, k, ttl, key, scores):
+    """The total of the network ``reference_expansion`` builds under
+    ``key``, each node carrying the rates ``build_network`` gives it."""
+    layers, edges = reference_expansion(dataset, root, n_f, k, ttl, None, None, key=key)
+    network = LayeredNetwork(root=root, category=RankingCategory.BY_INFLUENCE, ttl=ttl, edges=edges)
+    for account_id, layer in layers.items():
+        snapshot, score = dataset.accounts[account_id], scores[account_id]
+        network.nodes[account_id] = NetworkNode(
+            account_id, layer, score.tcr,
+            retweet_probability(snapshot.window) if snapshot.window is not None else 0.0,
+            score.value, snapshot.followers_count,
+        )
+    return diffusion_totals(network)[1]
+
+
+def test_null_model_wins_against_by_followers():
+    with criterion("TCR, a random key and OOM x FTF beat by-followers as often as pinned, with no tie"):
+        wins = dict.fromkeys(NULL_MODEL_WINS, 0)
+        for seed in CLAIM_SEEDS:
+            dataset = generate_synthetic(seed=seed, accounts=500, max_followers=400)
+            root = max(dataset.accounts, key=lambda a: len(dataset.accounts[a].follower_ids))
+            as_of = dataset.captured_at
+            scores = {account_id: influence_metric(snapshot, as_of)
+                      for account_id, snapshot in dataset.accounts.items()}
+            keys = {
+                "by_followers": lambda s: s.followers_count,
+                "influence": lambda s: scores[s.account_id].value,
+                "tcr": lambda s: scores[s.account_id].tcr,
+                "random": lambda s: random_key(seed, s.account_id),
+                "oom_ftf": lambda s: scores[s.account_id].oom_followers * scores[s.account_id].ftf_factor,
+            }
+            for n_f, k in BUDGETS:
+                totals = {name: keyed_total(dataset, root, n_f, k, 3, key, scores) for name, key in keys.items()}
+                # The two keys the program offers reproduce its totals exactly.
+                ttt = compare_networks(dataset, root, n_f, k, 3, as_of).ttt
+                assert totals["influence"] == ttt[RankingCategory.BY_INFLUENCE]
+                assert totals["by_followers"] == ttt[RankingCategory.BY_FOLLOWERS]
+                for name in wins:
+                    difference = totals[name] - totals["by_followers"]
+                    assert abs(difference) >= TIE_TOLERANCE, (name, seed, n_f, k)
+                    wins[name] += difference > 0
+        assert wins == NULL_MODEL_WINS
 
 
 def test_compare_output_mirrors_comparison_columns(capsys, tmp_path):

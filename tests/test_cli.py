@@ -17,7 +17,7 @@ from jsonschema import Draft7Validator
 import influence_tracker
 from influence_tracker import generate_synthetic, load_dataset, save_dataset
 from influence_tracker.cli import main
-from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps
+from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps, score_rows
 
 from conftest import dataset_from_spec, layered_spec
 from test_store import OUT_OF_RANGE, header_account_tweet
@@ -603,6 +603,71 @@ class TestOneParserPerProcess:
                 gc.enable()
         capsys.readouterr()
         assert freed == 0
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused, and ``main`` leaves
+    the collector as it found it, whatever the exit code."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["score", "--dataset", REFERENCE, "SkaiGr"], 0),
+        (["compare", "--dataset", "{data}", "--root", "acct-00000", "--nf", "2", "--k", "3"], 1),
+        (["score", "--dataset", "{absent}", "x"], 2),
+        (["score", "--dataset", REFERENCE, "SkaiGr"], 3),
+    ], ids=["ok", "bad-budget", "missing-file", "internal-error"])
+    def test_collector_state_is_restored(self, capsys, monkeypatch, synthetic_path, tmp_path, enabled, argv, code):
+        import influence_tracker.cli as cli_module
+
+        seen = []
+
+        def rows(*args):
+            seen.append(gc.isenabled())
+            if code == 3:
+                raise RuntimeError("boom")
+            return score_rows(*args)
+
+        monkeypatch.setattr(cli_module, "score_rows", rows)
+        argv = [arg.format(data=synthetic_path, absent=tmp_path / "absent.jsonl") for arg in argv]
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        capsys.readouterr()
+        assert seen == ([False] if code in (0, 3) else [])
+
+    def test_a_compare_call_runs_no_collection(self, capsys, tmp_path):
+        import influence_tracker.cli as cli_module
+
+        path = tmp_path / "gen.jsonl"
+        save_dataset(generate_synthetic(seed=3, accounts=300, max_followers=40), path)
+        argv = ["compare", "--dataset", str(path), "--root", "acct-00000", "--nf", "20,10", "--k", "5,3",
+                "--ttl", "4", "--format", "json", "--dump-networks"]
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            # The same command run outside main, so unpaused but for the load:
+            # the input is big enough for the collector to run.
+            args = cli_module._PARSER.parse_args(argv)
+            assert args.func(args) == 0
+            assert generations
+            generations.clear()
+            assert main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+            gc.enable() if was_enabled else gc.disable()
+        capsys.readouterr()
+        assert generations == []
 
 
 class TestQuickStart:

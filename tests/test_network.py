@@ -26,12 +26,14 @@ from conftest import AS_OF, complete_tree_spec, dataset_from_spec, make_account
 BOTH_CATEGORIES = [RankingCategory.BY_INFLUENCE, RankingCategory.BY_FOLLOWERS]
 
 
-def reference_expansion(dataset, root, n_f, k, ttl, category, as_of):
+def reference_expansion(dataset, root, n_f, k, ttl, category, as_of, key=None):
     """Recursive re-statement of the expansion rules, for cross-checking.
 
     Independently re-sorts candidates with a full decorate-sort and tracks
     layers in its own dict, relaxing a node's layer whenever a shorter
     depth is discovered (a node's layer is its shortest discovered depth).
+    ``key``, when given, ranks by ``key(snapshot)`` in place of
+    ``category``, so rankings the program does not offer can be built.
     Returns (node->layer map, edge set).
     """
     layers = {root: 0}
@@ -45,7 +47,9 @@ def reference_expansion(dataset, root, n_f, k, ttl, category, as_of):
         decorated = []
         for fid in ids:
             snapshot = dataset.accounts[fid]
-            if category is RankingCategory.BY_FOLLOWERS:
+            if key is not None:
+                score = key(snapshot)
+            elif category is RankingCategory.BY_FOLLOWERS:
                 score = float(snapshot.followers_count)
             else:
                 score = influence_metric(snapshot, as_of).value
