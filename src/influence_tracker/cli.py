@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}".rstrip())
 
+    def format_usage(self):
+        formatter = self._get_formatter()
+        formatter.add_usage(self.usage, self._actions, self._mutually_exclusive_groups)
+        usage = formatter.format_help()
+        vars(formatter).clear()  # its sections refer back to it; emptied, it leaves no cyclic garbage
+        return usage
+
 
 def _load(args) -> tuple[SnapshotDataset, datetime]:
     """Parse --as-of, then load --dataset; the instant defaults to its capture time."""

@@ -12,9 +12,9 @@ in [0, 2**63), never a float or a boolean. The loader holds the counter
 bounds, the handle rule (valid UTF-8, every character printable, so a
 handle cannot split a table row) and the follower-list rules, beside
 ``_FIELDS``; of the record types, only ``TweetWindow`` checks itself (its
-size and order). The tweet path reads a line's kind and six fields in one
-C call and tests the tweet row of ``_FIELDS`` inline, in one expression;
-any other line goes to ``_record_kind``, which words every field error.
+size and order). A line is taken as orjson decodes it only if it holds a
+tweet's seven keys and no other, passing the tweet row of ``_FIELDS`` inline;
+the stdlib scanner and ``_record_kind`` decode and word every other line.
 Lines starting with "#" are comments. Accounts must precede their
 tweets; otherwise line order is free. Every other line becomes a record
 or raises ParseError with its line number: bytes that are not UTF-8,
@@ -41,6 +41,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+
+from orjson import loads as _fast_loads
 
 from .errors import ParseError, UnknownAccount
 from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRow, TweetWindow
@@ -202,27 +204,33 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                 line = line.strip()
                 if not line or line.startswith(b"#"):
                     continue
-                # json.loads's checks, on a line that holds no outer whitespace.
-                try:
-                    text = line.decode("utf-8")
-                    if text[0] == "\ufeff":
-                        raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
-                    record, end = _scan_json(text, 0)
-                    if end != len(text):
-                        raise ValueError("Extra data")
-                except StopIteration:
-                    raise ParseError(line_no, "invalid JSON: Expecting value") from None
-                except (ValueError, RecursionError) as exc:
-                    # A JSONDecodeError's msg leaves out its position, which would read as a line number.
-                    raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-                if not isinstance(record, dict):
-                    raise ParseError(line_no, "record must be a JSON object")
-                try:
+                try:  # a well-formed tweet line: orjson's record, checked against _FIELDS["tweet"] inline
+                    record = _fast_loads(line)
                     kind, tweet_id, author_id, raw_created, retweets, favorites, is_retweet = _tweet_fields(record)
-                except KeyError:
-                    kind = None
-                if kind != "tweet":
-                    _record_kind(record, line_no)  # an account record, or it raises
+                    fast = (kind == "tweet" and len(record) == 7 and type(tweet_id) is str and type(author_id) is str
+                            and type(raw_created) is str and type(retweets) is int and type(favorites) is int
+                            and type(is_retweet) is bool and 0 <= retweets < COUNT_BOUND and 0 <= favorites < COUNT_BOUND)
+                except (ValueError, KeyError, TypeError):  # not JSON, or not a dict with every tweet key
+                    fast = False
+                if not fast:  # any other line: json.loads's checks, on a line that holds no outer whitespace
+                    try:
+                        text = line.decode("utf-8")
+                        if text[0] == "\ufeff":
+                            raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+                        record, end = _scan_json(text, 0)
+                        if end != len(text):
+                            raise ValueError("Extra data")
+                    except StopIteration:
+                        raise ParseError(line_no, "invalid JSON: Expecting value") from None
+                    except (ValueError, RecursionError) as exc:
+                        # A JSONDecodeError's msg leaves out its position, which would read as a line number.
+                        raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+                    if not isinstance(record, dict):
+                        raise ParseError(line_no, "record must be a JSON object")
+                    kind = _record_kind(record, line_no)  # every field of its kind is right, or it raises
+                    if kind == "tweet":
+                        kind, tweet_id, author_id, raw_created, retweets, favorites, is_retweet = _tweet_fields(record)
+                if kind != "tweet":  # an account record
                     account_id, handle, followers_count = record["id"], record["handle"], record["followers_count"]
                     if account_id in checked:
                         raise ParseError(line_no, f"account {account_id!r} already defined")
@@ -252,11 +260,6 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                                            follower_ids, captured_at)
                     tweets[account_id] = {}
                     continue
-                # _FIELDS["tweet"] inline; _record_kind accepts the same records and words the error.
-                if not (type(tweet_id) is str and type(author_id) is str and type(raw_created) is str
-                        and type(retweets) is int and type(favorites) is int and type(is_retweet) is bool
-                        and 0 <= retweets < COUNT_BOUND and 0 <= favorites < COUNT_BOUND):
-                    _record_kind(record, line_no)
                 if author_id != author:  # a new author: look up its tweet dict and capture time
                     by_id = tweets.get(author_id)
                     if by_id is None:

@@ -580,15 +580,17 @@ class TestOneParserPerProcess:
         assert plain.returncode == optimized.returncode == 0, optimized.stderr
         assert optimized.stdout == plain.stdout != b""
 
-    # A usage error that argparse words itself (a missing --root, say) is
-    # left out: its usage text comes from a new argparse HelpFormatter, whose
-    # sections hold bound methods of the formatter, 6 objects in a cycle.
     @pytest.mark.parametrize("argv, code", [
         (["score", "--dataset", REFERENCE, "SkaiGr"], 0),
         (["compare", "--dataset", "{data}", "--root", "acct-00000", "--format", "json", "--dump-networks"], 0),
         (["score", "--dataset", "{absent}", "x"], 2),
         (["compare", "--dataset", "{data}", "--root", "acct-00000", "--nf", "2", "--k", "3"], 1),
-    ], ids=["score", "compare-dump", "missing-file", "bad-budget"])
+        (["compare", "--dataset", "{data}"], 1),
+        (["score", "x"], 1),
+        (["score", "--dataset", "{data}", "--bogus", "x"], 1),
+        ([], 1),
+    ], ids=["score", "compare-dump", "missing-file", "bad-budget", "no-root", "no-dataset", "unknown-flag",
+            "no-command"])
     def test_a_call_leaves_no_cyclic_garbage(self, capsys, synthetic_path, tmp_path, argv, code):
         argv = [arg.format(data=synthetic_path, absent=tmp_path / "absent.jsonl") for arg in argv]
         assert main(argv) == code  # warm-up: lazy imports and first-call caches
@@ -603,6 +605,14 @@ class TestOneParserPerProcess:
                 gc.enable()
         capsys.readouterr()
         assert freed == 0
+
+    def test_usage_follows_the_terminal_width(self, capsys, monkeypatch):
+        widest = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(["score"]) == 1
+            widest[columns] = max(map(len, capsys.readouterr().err.splitlines()))
+        assert widest["40"] < widest["200"]
 
 
 class TestCollectorPause:

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import random
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -156,6 +157,18 @@ TWEET_FIELD_ERRORS = [
     pytest.param({"id": "5", "retweet_count": None}, "line 2: missing field(s): retweet_count",
                  id="bad-id-no-count"),
 ]
+
+
+
+def changed_tweet_line(changes):
+    """Tweet "t1" of "a"; ``changes`` maps a field to its JSON text, or to None to drop it."""
+    line = tweet_line("t1", "a")
+    for field, raw in changes.items():
+        if raw is None:
+            line = json.dumps({k: v for k, v in json.loads(line).items() if k != field})
+        else:
+            line = with_raw(line, field, raw)
+    return line
 
 
 # An account line after a valid one that breaks a follower-list rule, or
@@ -372,15 +385,8 @@ class TestLoadDataset:
 class TestTweetLineCheck:
     @pytest.mark.parametrize("changes, message", TWEET_FIELD_ERRORS)
     def test_field_errors_keep_their_words(self, tmp_path, changes, message):
-        """``changes`` maps a field to its JSON text, or to None to drop it."""
-        line = tweet_line("t1", "a")
-        for field, raw in changes.items():
-            if raw is None:
-                line = json.dumps({k: v for k, v in json.loads(line).items() if k != field})
-            else:
-                line = with_raw(line, field, raw)
         with pytest.raises(ParseError) as info:
-            load_dataset(write_lines(tmp_path, account_line("a"), line))
+            load_dataset(write_lines(tmp_path, account_line("a"), changed_tweet_line(changes)))
         assert str(info.value) == message
         assert info.value.line_no == 2
 
@@ -408,6 +414,106 @@ class TestTweetLineCheck:
         monkeypatch.setattr(store, "_record_kind", counting)
         load_dataset(path)
         assert checked == ["account"] * kinds.count("account")
+
+
+def load_outcome(path):
+    """The loaded dataset, or the ParseError's text and line number."""
+    try:
+        return load_dataset(path)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+def stdlib_outcome(path):
+    """``load_outcome`` with orjson refusing every line, so each takes the stdlib path."""
+    refused = []
+
+    def refuse(line):
+        refused.append(line)
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "_fast_loads", refuse)
+        outcome = load_outcome(path)
+    assert refused
+    return outcome
+
+
+# Counters that orjson reads as floats (beyond 64 bits) and json as ints.
+WIDE_COUNTERS = [str(2**64), str(10**400), str(-(2**63) - 1)]
+# JSON texts that orjson refuses or reads otherwise than json, or nests
+# deeper than json may; each is held by a key no record kind has.
+DISPUTED_VALUES = ["NaN", "1e400", str(2**64), '"\\ud800"', "[" * 1000 + "]" * 1000]
+
+
+class TestStdlibReference:
+    """Well-formed tweet lines are decoded by orjson; every other line by
+    the stdlib scanner. Each file must load, or fail at the same line with
+    the same words, as it does with every line on the stdlib path."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_gen_files_load_the_same(self, tmp_path, seed):
+        path = tmp_path / "gen.jsonl"
+        save_dataset(generate_synthetic(seed=seed, accounts=60, max_followers=12), path)
+        dataset = load_outcome(path)
+        assert isinstance(dataset, SnapshotDataset)
+        assert dataset == stdlib_outcome(path)
+
+    def test_shuffled_long_windows_load_the_same(self, tmp_path):
+        rng = random.Random(11)
+        lines = [account_line(author) for author in "abc"]
+        for author in "abc":
+            tweets = [tweet_line(f"{author}{i}", author, days_ago=rng.uniform(0.01, 30),
+                                 retweets=rng.randrange(1000), favorites=rng.randrange(2000),
+                                 is_retweet=rng.random() < 0.3) for i in range(130)]
+            rng.shuffle(tweets)
+            lines += tweets
+        path = write_lines(tmp_path, *lines)
+        dataset = load_outcome(path)
+        assert [account.window.window_size for account in dataset.accounts.values()] == [100, 100, 100]
+        assert dataset == stdlib_outcome(path)
+
+    @pytest.mark.parametrize("kind, field, raw, line, reason", MISTYPED + OUT_OF_RANGE + UNDECODABLE)
+    def test_malformed_values_fail_the_same(self, tmp_path, kind, field, raw, line, reason):
+        path = write_lines(tmp_path, *header_account_tweet(kind, field, raw))
+        message, line_no = load_outcome(path)
+        assert line_no == line and reason in message
+        assert (message, line_no) == stdlib_outcome(path)
+
+    @pytest.mark.parametrize("changes, message", TWEET_FIELD_ERRORS)
+    def test_tweet_field_errors_fail_the_same(self, tmp_path, changes, message):
+        path = write_lines(tmp_path, account_line("a"), changed_tweet_line(changes))
+        assert load_outcome(path) == stdlib_outcome(path) == (message, 2)
+
+    @pytest.mark.parametrize("field", ["retweet_count", "favorite_count"])
+    @pytest.mark.parametrize("raw", WIDE_COUNTERS)
+    def test_wide_counters_keep_their_words(self, tmp_path, field, raw):
+        path = write_lines(tmp_path, *header_account_tweet("tweet", field, raw))
+        expected = (f"line 3: bad tweet record: {field} must be in [0, 2**63), got {raw}", 3)
+        assert load_outcome(path) == stdlib_outcome(path) == expected
+
+    @pytest.mark.parametrize("raw", DISPUTED_VALUES, ids=["nan", "inf", "2**64", "lone-surrogate", "deep-list"])
+    def test_extra_key_with_disputed_value_loads_the_same(self, tmp_path, raw):
+        path = write_lines(tmp_path, *header_account_tweet("tweet", "extra", raw))
+        assert load_outcome(path) == stdlib_outcome(path)
+
+    @pytest.mark.parametrize("field, first, last, outcome", [
+        ("retweet_count", "-1", "5", 5),
+        ("retweet_count", "5", "-1", ("line 3: bad tweet record: retweet_count must be in [0, 2**63), got -1", 3)),
+        ("kind", '"account"', '"tweet"', 1),
+    ], ids=["last-valid", "last-negative", "kind"])
+    def test_repeated_key_loads_or_fails_the_same(self, tmp_path, field, first, last, outcome):
+        """``outcome`` is the loaded retweet count, or the error."""
+        record = json.loads(tweet_line("t1", "a"))
+        del record[field]
+        line = json.dumps(record)[:-1] + f', "{field}": {first}, "{field}": {last}}}'
+        path = write_lines(tmp_path, account_line("a"), "# header", line)
+        loaded = load_outcome(path)
+        assert loaded == stdlib_outcome(path)
+        if isinstance(outcome, int):
+            assert loaded.accounts["a"].window.retweet_counts == (outcome,)
+        else:
+            assert loaded == outcome
 
 
 class TestLoaderState:
