@@ -7,6 +7,7 @@ is a plain row, ``TweetRow``: no object is built per tweet.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime
 from operator import gt, itemgetter
@@ -89,6 +90,10 @@ class TweetWindow:
     @classmethod
     def from_tweets(cls, rows: Iterable[TweetRow]) -> "TweetWindow":
         """Build a window from tweet rows in any order, keeping the newest 100."""
+        rows = tuple(rows)
+        if 0 < len(rows) <= MAX_WINDOW_SIZE:
+            with suppress(ValueError):  # rows in window order make the window as they are; others are sorted
+                return cls(*zip(*rows))
         by_id = sorted(rows, key=itemgetter(0))
         newest_first = sorted(by_id, key=itemgetter(1), reverse=True)[:MAX_WINDOW_SIZE]
         return cls(*zip(*newest_first)) if newest_first else cls((), (), (), (), ())

@@ -12,9 +12,12 @@ in [0, 2**63), never a float or a boolean. The loader holds the counter
 bounds, the handle rule (valid UTF-8, every character printable, so a
 handle cannot split a table row) and the follower-list rules, beside
 ``_FIELDS``; of the record types, only ``TweetWindow`` checks itself (its
-size and order). A line is taken as orjson decodes it only if it holds a
-tweet's seven keys and no other, passing the tweet row of ``_FIELDS`` inline;
-the stdlib scanner and ``_record_kind`` decode and word every other line.
+size and order). orjson decodes a line only if it cannot nest past 255
+levels: it is under 512 bytes, or no "{" follows its first byte and it holds
+one "[" at most. Its record is taken if it holds a tweet's seven keys and no
+other, passing the tweet row of ``_FIELDS`` inline, or an account's seven
+keys, passing ``_record_kind``. The stdlib decoder and ``_record_kind``
+decode and word every other line, blank and comment lines included.
 Lines starting with "#" are comments. Accounts must precede their
 tweets; otherwise line order is free. Every other line becomes a record
 or raises ParseError with its line number: bytes that are not UTF-8,
@@ -62,9 +65,7 @@ _FIELDS = {
 _PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "booleans"}
 # Every counter is below this bound, so it fits a signed 64-bit integer.
 COUNT_BOUND = 2**63
-# One shared scanner, called directly: json.loads adds two Python calls and
-# two whitespace matches per line. json.dumps builds an encoder per call.
-_scan_json = json.JSONDecoder().scan_once
+# One shared encoder: json.dumps builds one per call.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # A tweet line's kind and six fields in one C call; KeyError if one is missing.
 _tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
@@ -197,31 +198,34 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     handle_owners: dict[str, str] = {}
     tweets: dict[str, dict[str, TweetRow]] = {}
     author = None  # of the last tweet line; gen files group tweets by author
+    utc, fromisoformat = timezone.utc, datetime.fromisoformat
     # A good load builds no reference cycles, so the collector would find nothing.
     with _collector_paused():
         with path.open("rb") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith(b"#"):
-                    continue
+                # orjson sees a line of under 512 bytes, which nests 255 deep at most, or one with no "{" after
+                # its first byte and one "[" at most. orjson has no depth limit, so a deep enough line crashes
+                # it; json refuses one deeper than its recursion limit, even where a repeated key hides it.
                 try:  # a well-formed tweet line: orjson's record, checked against _FIELDS["tweet"] inline
-                    record = _fast_loads(line)
+                    record = _fast_loads(line) if len(line) < 512 or (
+                        line.rfind(b"{") < 1 and line.count(b"[") < 2) else None
                     kind, tweet_id, author_id, raw_created, retweets, favorites, is_retweet = _tweet_fields(record)
                     fast = (kind == "tweet" and len(record) == 7 and type(tweet_id) is str and type(author_id) is str
                             and type(raw_created) is str and type(retweets) is int and type(favorites) is int
                             and type(is_retweet) is bool and 0 <= retweets < COUNT_BOUND and 0 <= favorites < COUNT_BOUND)
-                except (ValueError, KeyError, TypeError):  # not JSON, or not a dict with every tweet key
-                    fast = False
-                if not fast:  # any other line: json.loads's checks, on a line that holds no outer whitespace
+                except KeyError:  # a well-formed account line: orjson's record, if _record_kind passes it
                     try:
-                        text = line.decode("utf-8")
-                        if text[0] == "\ufeff":
-                            raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
-                        record, end = _scan_json(text, 0)
-                        if end != len(text):
-                            raise ValueError("Extra data")
-                    except StopIteration:
-                        raise ParseError(line_no, "invalid JSON: Expecting value") from None
+                        fast = len(record) == 7 and (kind := _record_kind(record, line_no)) == "account"
+                    except ParseError:  # the stdlib path words the error, from its own record
+                        fast = False
+                except (ValueError, TypeError):  # not JSON to orjson, not a dict, or not shown to orjson
+                    fast = False
+                if not fast:  # any other line: the stdlib decoder, on the line without its outer whitespace
+                    line = line.strip()
+                    if not line or line.startswith(b"#"):
+                        continue
+                    try:
+                        record = json.loads(line.decode("utf-8"))
                     except (ValueError, RecursionError) as exc:
                         # A JSONDecodeError's msg leaves out its position, which would read as a line number.
                         raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
@@ -268,10 +272,15 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                     author, author_captured_at = author_id, checked[author_id][-1]
                 if tweet_id in by_id:
                     raise ParseError(line_no, f"duplicate tweet id {tweet_id!r} for {author_id!r}")
-                try:
-                    created_at = parse_timestamp(raw_created)
-                except ValueError as exc:
-                    raise ParseError(line_no, f"bad created_at: {exc}") from None
+                try:  # a UTC instant as written; parse_timestamp reads any other and words each error
+                    created_at = fromisoformat(raw_created)
+                    if created_at.tzinfo is not utc:
+                        raise ValueError
+                except ValueError:
+                    try:
+                        created_at = parse_timestamp(raw_created)
+                    except ValueError as exc:
+                        raise ParseError(line_no, f"bad created_at: {exc}") from None
                 if created_at > author_captured_at:
                     raise ParseError(line_no, f"tweet {tweet_id!r} created after its account's capture time")
                 by_id[tweet_id] = (tweet_id, created_at, retweets, favorites, is_retweet)

@@ -261,6 +261,30 @@ class TestTweetWindow:
         with pytest.raises(ValueError, match="^window columns must all hold the same number of tweets$"):
             TweetWindow(ids, created_at, retweets[:2], favorites, flags)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_from_tweets_matches_a_reference_sort(self, data):
+        """1 to 250 rows in window order, reversed, shuffled, or with equal
+        timestamps in descending id order: the window of the newest 100."""
+        n = data.draw(st.integers(1, 250), label="n")
+        # Few distinct instants, so that many rows share one.
+        seconds = data.draw(st.lists(st.integers(0, n // 3), min_size=n, max_size=n), label="seconds")
+        rows = [(f"t{i:03d}", AS_OF - timedelta(seconds=s), i % 7, i % 5, i % 3 == 0)
+                for i, s in enumerate(seconds)]
+        newest_first = sorted(rows, key=lambda row: (AS_OF - row[1], row[0]))
+        arrangement = data.draw(st.sampled_from(["in-order", "reversed", "shuffled", "ties-by-descending-id"]))
+        if arrangement == "in-order":
+            given_rows = newest_first
+        elif arrangement == "reversed":
+            given_rows = newest_first[::-1]
+        elif arrangement == "shuffled":
+            given_rows = data.draw(st.permutations(rows))
+        else:
+            given_rows = sorted(sorted(rows, reverse=True), key=lambda row: AS_OF - row[1])
+        expected = TweetWindow(*zip(*newest_first[:100]))
+        assert TweetWindow.from_tweets(given_rows) == expected
+        assert TweetWindow.from_tweets(iter(given_rows)) == expected
+
     def test_rows_give_back_the_tweets_newest_first(self):
         tweets = make_tweets("a", 5, 1.0, retweet_counts=[5, 4, 3, 2, 1], retweet_fraction=0.4)
         window = TweetWindow.from_tweets(reversed(tweets))

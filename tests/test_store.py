@@ -439,6 +439,11 @@ def stdlib_outcome(path):
     return outcome
 
 
+# Values nested far deeper than json may go, whatever the caller's own
+# depth; orjson 3.8 reads some that deep and crashes on others.
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+DEEP_OBJECT = '{"b":' * 100_000 + "1" + "}" * 100_000
+DEEP_REFUSAL = "maximum recursion depth exceeded while decoding a JSON %s from a unicode string"
 # Counters that orjson reads as floats (beyond 64 bits) and json as ints.
 WIDE_COUNTERS = [str(2**64), str(10**400), str(-(2**63) - 1)]
 # JSON texts that orjson refuses or reads otherwise than json, or nests
@@ -447,9 +452,10 @@ DISPUTED_VALUES = ["NaN", "1e400", str(2**64), '"\\ud800"', "[" * 1000 + "]" * 1
 
 
 class TestStdlibReference:
-    """Well-formed tweet lines are decoded by orjson; every other line by
-    the stdlib scanner. Each file must load, or fail at the same line with
-    the same words, as it does with every line on the stdlib path."""
+    """Well-formed tweet and account lines that cannot nest deeply are
+    decoded by orjson; every other line by the stdlib decoder. Each file
+    must load, or fail at the same line with the same words, as it does
+    with every line on the stdlib path."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_gen_files_load_the_same(self, tmp_path, seed):
@@ -501,7 +507,10 @@ class TestStdlibReference:
         ("retweet_count", "-1", "5", 5),
         ("retweet_count", "5", "-1", ("line 3: bad tweet record: retweet_count must be in [0, 2**63), got -1", 3)),
         ("kind", '"account"', '"tweet"', 1),
-    ], ids=["last-valid", "last-negative", "kind"])
+        ("id", "[" * 100 + "]" * 100, '"t1"', 1),
+        ("id", DEEP_LIST, '"t1"', (f"line 3: invalid JSON: {DEEP_REFUSAL % 'array'}", 3)),
+        ("id", DEEP_OBJECT, '"t1"', (f"line 3: invalid JSON: {DEEP_REFUSAL % 'object'}", 3)),
+    ], ids=["last-valid", "last-negative", "kind", "shallow-list", "deep-list", "deep-object"])
     def test_repeated_key_loads_or_fails_the_same(self, tmp_path, field, first, last, outcome):
         """``outcome`` is the loaded retweet count, or the error."""
         record = json.loads(tweet_line("t1", "a"))
@@ -514,6 +523,78 @@ class TestStdlibReference:
             assert loaded.accounts["a"].window.retweet_counts == (outcome,)
         else:
             assert loaded == outcome
+
+    @pytest.mark.parametrize("field", ["followers_count", "following_count"])
+    @pytest.mark.parametrize("raw", WIDE_COUNTERS)
+    def test_wide_account_counters_keep_their_words(self, tmp_path, field, raw):
+        path = write_lines(tmp_path, *header_account_tweet("account", field, raw))
+        expected = (f"line 2: bad account record: {field} must be in [0, 2**63), got {raw}", 2)
+        assert load_outcome(path) == stdlib_outcome(path) == expected
+
+    @pytest.mark.parametrize("raw", DISPUTED_VALUES, ids=["nan", "inf", "2**64", "lone-surrogate", "deep-list"])
+    def test_account_extra_key_with_disputed_value_loads_the_same(self, tmp_path, raw):
+        path = write_lines(tmp_path, *header_account_tweet("account", "extra", raw))
+        assert load_outcome(path) == stdlib_outcome(path)
+
+    @pytest.mark.parametrize("field, first, last, outcome", [
+        ("followers_count", "-1", "50", 50),
+        ("followers_count", "50", "-1",
+         ("line 2: bad account record: followers_count must be in [0, 2**63), got -1", 2)),
+        ("followers_count", str(2**64), "50", 50),
+        ("follower_ids", '["b", "b"]', '["b"]', 50),
+        ("kind", '"tweet"', '"account"', 50),
+        ("handle", DEEP_LIST, '"a"', (f"line 2: invalid JSON: {DEEP_REFUSAL % 'array'}", 2)),
+        ("handle", DEEP_OBJECT, '"a"', (f"line 2: invalid JSON: {DEEP_REFUSAL % 'object'}", 2)),
+    ], ids=["last-valid", "last-negative", "first-wide", "first-duplicate-ids", "kind", "deep-list", "deep-object"])
+    def test_repeated_account_key_loads_or_fails_the_same(self, tmp_path, field, first, last, outcome):
+        """``outcome`` is the loaded follower count, or the error."""
+        record = json.loads(account_line("a", followers=50, follower_ids=["b"]))
+        del record[field]
+        line = json.dumps(record)[:-1] + f', "{field}": {first}, "{field}": {last}}}'
+        path = write_lines(tmp_path, "# header", line, tweet_line("t1", "a"))
+        loaded = load_outcome(path)
+        assert loaded == stdlib_outcome(path)
+        if isinstance(outcome, int):
+            assert loaded.accounts["a"].followers_count == outcome
+        else:
+            assert loaded == outcome
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\x0b", "\x0c", " \t\x0b\x0c"],
+                             ids=["space", "tab", "vt", "ff", "mixed"])
+    def test_padded_lines_load_the_same(self, tmp_path, pad):
+        """Padding before, after or around each line: orjson refuses some of it, and bytes.strip takes it all."""
+        lines = gen_lines(tmp_path)
+        padded = [[pad + line, line + pad, pad + line + pad][i % 3] for i, line in enumerate(lines)]
+        path = write_lines(tmp_path, *padded, name="padded.jsonl")
+        assert_loads_as_written(path, lines)
+
+    def test_crlf_line_ends_load_the_same(self, tmp_path):
+        lines = gen_lines(tmp_path)
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        assert_loads_as_written(path, lines)
+
+    def test_blank_and_comment_lines_between_tweets_load_the_same(self, tmp_path):
+        lines = gen_lines(tmp_path)
+        spaced = [out for line in lines for out in ([line, "", "# between"] if '"tweet"' in line else [line])]
+        path = write_lines(tmp_path, *spaced, name="spaced.jsonl")
+        assert_loads_as_written(path, lines)
+
+
+def assert_loads_as_written(path, lines):
+    """``path`` loads as ``lines`` do written plainly, with and without orjson."""
+    loaded = load_outcome(path)
+    assert loaded == stdlib_outcome(path)
+    assert loaded.accounts == load_dataset(write_lines(path.parent, *lines, name="plain.jsonl")).accounts
+
+
+def gen_lines(tmp_path):
+    """The lines of a small gen file, without their line ends."""
+    path = tmp_path / "gen.jsonl"
+    save_dataset(generate_synthetic(seed=6, accounts=12, max_followers=4), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert sum('"kind":"tweet"' in line for line in lines) > 20
+    return lines
 
 
 class TestLoaderState:
