@@ -109,8 +109,9 @@ def cmd_compare(args) -> int:
             "both networks are empty",
             file=sys.stderr,
         )
+    scores = {}  # one table for every budget: each account is scored once
     results = [
-        (n_f, k, args.ttl, compare_networks(dataset, root.account_id, n_f, k, args.ttl, as_of))
+        (n_f, k, args.ttl, compare_networks(dataset, root.account_id, n_f, k, args.ttl, as_of, scores))
         for n_f, k in configs
     ]
     sys.stdout.write(render_compare(

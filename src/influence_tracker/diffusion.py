@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import DatasetError
+from .metrics import InfluenceScore
 from .network import LayeredNetwork, NetworkNode, RankingCategory, build_network
 from .store import SnapshotDataset
 
-# Totals closer than this are reported as a tie rather than a winner.
-TIE_TOLERANCE = 1e-12
+# Totals whose gap is at most this share of the larger one tie. It is relative
+# because a total scales with 1/tcr(root): a tie must not hang on the root's rate.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class ComparisonResult:
     and the winner.
 
     The three dicts are keyed in RankingCategory order. ``winner`` is None
-    for a tie (totals within TIE_TOLERANCE). The networks are retained so
-    callers can dump the graphs without rebuilding.
+    for a tie (see compare_networks). The networks are retained so callers
+    can dump the graphs without rebuilding.
     """
 
     networks: dict[RankingCategory, LayeredNetwork]
@@ -140,17 +142,21 @@ def compare_networks(
     k: int,
     ttl: int,
     as_of: datetime,
+    scores: dict[datetime, dict[str, InfluenceScore]] | None = None,
 ) -> ComparisonResult:
     """Build both category networks with the same budget and compare totals.
 
     The difference is by-influence minus by-followers; its sign picks the
-    winner unless the totals are within TIE_TOLERANCE of each other.
+    winner unless it is at most TIE_TOLERANCE times the larger total's
+    magnitude (so two zero totals tie). Both builds share ``scores``, the
+    table ``build_network`` takes, fresh for this call when None.
     Raises DatasetError when a network has more paths than a float can
     hold or a total that is not finite: neither can be compared.
     """
     networks, paths, ttt = {}, {}, {}
+    scores = {} if scores is None else scores
     for category in RankingCategory:
-        networks[category] = build_network(dataset, root, n_f, k, ttl, category, as_of)
+        networks[category] = build_network(dataset, root, n_f, k, ttl, category, as_of, scores)
         paths[category], ttt[category] = diffusion_totals(networks[category])
         # The count is never formatted: str() of an int past 4,300 digits raises.
         if paths[category] > sys.float_info.max or not math.isfinite(ttt[category]):
@@ -159,7 +165,7 @@ def compare_networks(
                 "has too many paths to total"
             )
     difference = ttt[RankingCategory.BY_INFLUENCE] - ttt[RankingCategory.BY_FOLLOWERS]
-    if abs(difference) < TIE_TOLERANCE:
+    if abs(difference) <= TIE_TOLERANCE * max(map(abs, ttt.values())):
         winner = None
     elif difference > 0:
         winner = RankingCategory.BY_INFLUENCE

@@ -123,8 +123,8 @@ def rank_followers(
     """Top-k candidate ids by descending ``key``, ties broken by ascending id.
 
     ``build_network`` passes each parent's first ``n_f`` followers, with the
-    influence score from the dataset's shared table for ByInfluence and the
-    raw follower count for ByFollowers. Returns at most k ids, best first.
+    influence score from its score table for ByInfluence and the raw
+    follower count for ByFollowers. Returns at most k ids, best first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -144,6 +144,7 @@ def build_network(
     ttl: int,
     category: RankingCategory,
     as_of: datetime,
+    scores: dict[datetime, dict[str, InfluenceScore]] | None = None,
 ) -> LayeredNetwork:
     """Expand a layered top-k follower network from ``root``.
 
@@ -153,6 +154,10 @@ def build_network(
     dropped. Nodes are expanded in the order they joined, which runs
     layer by layer; expansion stops at the first node on layer ttl, or
     once every node that joined has been expanded.
+
+    ``scores`` holds influence scores by instant, then by account id. The
+    build reads and fills ``scores[as_of]``, so builds that share one table
+    score each account once per instant; None means a fresh table.
 
     A root with no resolvable followers yields a degenerate network (the
     root alone, no paths); callers are expected to report that, not fail.
@@ -166,18 +171,12 @@ def build_network(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    # One influence-score table per dataset and instant, shared by both
-    # categories and every budget; a build at another instant replaces it.
-    # Taken once, so a concurrent build cannot swap it mid-build.
-    scores = dataset._ranking_tables.get(as_of)
-    if scores is None:
-        scores = {}
-        dataset._ranking_tables = {as_of: scores}
+    table = {} if scores is None else scores.setdefault(as_of, {})
 
     def score_of(snapshot: AccountSnapshot) -> InfluenceScore:
-        score = scores.get(snapshot.account_id)
+        score = table.get(snapshot.account_id)
         if score is None:
-            score = scores[snapshot.account_id] = influence_metric(snapshot, as_of)
+            score = table[snapshot.account_id] = influence_metric(snapshot, as_of)
         return score
 
     def node_for(account_id: str, layer: int) -> NetworkNode:
@@ -194,7 +193,7 @@ def build_network(
 
     if category is RankingCategory.BY_INFLUENCE:
         def key(snapshot: AccountSnapshot) -> float:  # reads the table itself: one frame a call
-            score = scores.get(snapshot.account_id)
+            score = table.get(snapshot.account_id)
             if score is None:
                 score = score_of(snapshot)
             return score.value

@@ -92,20 +92,13 @@ def _handle_key(handle: str) -> str:
 class SnapshotDataset:
     """All accounts, each with its tweet window, captured in one snapshot.
 
-    Not changed after load/generation, except for the private lookups
-    below. ``captured_at`` is the latest account capture time; a dataset
-    with no accounts raises ValueError. A loaded dataset has no two
-    handles with the same ``_handle_key``.
+    Not changed after load/generation. ``captured_at`` is the latest
+    account capture time; a dataset with no accounts raises ValueError. A
+    loaded dataset has no two handles with the same ``_handle_key``.
 
-    The casefolded-handle index is built with the dataset. Each account's
-    resolvable follower snapshots, in id order, are filled per account by
-    ``followers_of``. ``_ranking_tables`` holds, for one evaluation
-    instant at a time, the influence scores that ``network.build_network``
-    fills and every build at that instant shares; a build at another
-    instant replaces it, and each build reads the table it took at its
-    start. Concurrent readers stay safe: an entry is built completely
-    before it is stored in one assignment, is never changed afterwards,
-    and two readers racing to fill the same entry store equal values.
+    The casefolded-handle index is built with the dataset. ``followers_of``
+    caches each account's resolvable follower snapshots, in id order; racing
+    threads store equal tuples, each in one assignment.
     """
 
     dataset_id: str
@@ -113,10 +106,6 @@ class SnapshotDataset:
     captured_at: datetime = field(init=False)
     _by_handle: dict[str, list[AccountSnapshot]] = field(init=False, repr=False, compare=False)
     _sorted_followers: dict[str, tuple[AccountSnapshot, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # {as_of: {account id: score}}, one instant at most.
-    _ranking_tables: dict[datetime, dict] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from test_store import OUT_OF_RANGE, header_account_tweet
 
 DATA_DIR = Path(__file__).parent / "data"
 REFERENCE = str(DATA_DIR / "reference_accounts.jsonl")
+RELATIVE_TIE = str(DATA_DIR / "relative_tie.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +276,34 @@ class TestCompare:
         networks = doc["results"][0]["networks"]
         assert {n["id"] for n in networks["by_influence"]["nodes"]} >= {root}
         assert networks["by_followers"]["edges"]
+
+    def test_one_call_scores_each_account_once(self, capsys, monkeypatch, tmp_path):
+        import influence_tracker.network as network_module
+
+        calls = Counter()
+        original = network_module.influence_metric
+
+        def counting(snapshot, as_of):
+            calls[snapshot.account_id] += 1
+            return original(snapshot, as_of)
+
+        monkeypatch.setattr(network_module, "influence_metric", counting)
+        path = tmp_path / "gen.jsonl"
+        save_dataset(generate_synthetic(seed=3, accounts=300, max_followers=40), path)
+        code, _, _ = run(capsys, ["compare", "--dataset", str(path), "--root", "acct-00000",
+                                  "--nf", "20,10,5", "--k", "5,3,2", "--ttl", "4", "--format", "json"])
+        assert code == 0
+        assert len(calls) > 100
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("root", ["calm", "burst"])
+    def test_winner_does_not_hang_on_the_roots_rate(self, capsys, root):
+        # Totals 1e-5 against 1.43e-6 under the calm root; 1.157e-12 against
+        # 1.653e-13, a gap below 1e-12, under the bursting one.
+        code, out, _ = run(capsys, ["compare", "--dataset", RELATIVE_TIE, "--root", root,
+                                    "--nf", "2", "--k", "1", "--ttl", "1", "--format", "csv"])
+        assert code == 0
+        assert out.split("\r\n")[1] == f"2,1,1,{root},0.000,0.000,0.000,by_influence,1,1"
 
     def test_mismatched_batch_lists_usage_error(self, capsys, synthetic_path):
         code, _, err = run(capsys, [

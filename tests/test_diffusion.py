@@ -21,12 +21,15 @@ from influence_tracker import (
     diffusion_totals,
     enumerate_paths,
     generate_synthetic,
+    load_dataset,
     save_dataset,
     total_tweet_transmission,
     tweet_transmission,
 )
 
 from conftest import AS_OF, dataset_from_spec, layered_spec
+
+RELATIVE_TIE = Path(__file__).parent / "data" / "relative_tie.jsonl"
 
 
 def node(account_id, layer, tcr=1.0, rt=0.5):
@@ -282,6 +285,36 @@ class TestCompareNetworks:
         assert result.ttt[RankingCategory.BY_FOLLOWERS] == 0.0
         assert result.winner is RankingCategory.BY_INFLUENCE
         assert result.difference == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("totals, winner", [
+        ((0.0, 0.0), None),
+        ((1.0, 1.0 - 2**-30), None),
+        ((1.0 - 2**-30, 1.0), None),
+        ((1.0, 1.0 - 2**-29), RankingCategory.BY_INFLUENCE),
+        ((1e-300, 1e-300 * (1 + 2**-29)), RankingCategory.BY_FOLLOWERS),
+        ((0.0, 1e-300), RankingCategory.BY_FOLLOWERS),
+        ((1e-12, 1e-13), RankingCategory.BY_INFLUENCE),
+    ])
+    def test_a_tie_is_a_gap_within_a_share_of_the_larger_total(self, tree_dataset, monkeypatch, totals, winner):
+        # 2**-30 is just under TIE_TOLERANCE, 2**-29 just over it.
+        by_category = dict(zip(RankingCategory, totals))
+        monkeypatch.setattr(influence_tracker.diffusion, "diffusion_totals",
+                            lambda network: (1, by_category[network.category]))
+        assert compare_networks(tree_dataset, "n0", 50, 3, 3, AS_OF).winner is winner
+
+    @pytest.mark.parametrize("root, totals", [
+        ("calm", (1e-5, 1 / 700_000)),
+        ("burst", (1e-5 / 8.64e6, 1 / 700_000 / 8.64e6)),
+    ])
+    def test_a_tie_does_not_hang_on_the_roots_rate(self, root, totals):
+        # One total is seven times the other under either root, though under
+        # the bursting root (100 tweets at the capture instant) the gap is
+        # below 1e-12.
+        dataset = load_dataset(RELATIVE_TIE)
+        result = compare_networks(dataset, root, 2, 1, 1, dataset.captured_at)
+        assert [set(network.nodes) for network in result.networks.values()] == [{root, "x1"}, {root, "x2"}]
+        assert tuple(result.ttt.values()) == pytest.approx(totals, rel=1e-12)
+        assert result.winner is RankingCategory.BY_INFLUENCE
 
     def test_unknown_root_propagates(self, tree_dataset):
         with pytest.raises(UnknownAccount):

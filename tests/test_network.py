@@ -363,8 +363,8 @@ class TestScoreTable:
 
 
 class TestSharedTables:
-    """Every build on one dataset at one instant shares its influence scores;
-    no result depends on what ran before."""
+    """Builds that share one score table score each account once per
+    instant; no result depends on what ran before."""
 
     # Descending, ascending and repeated budgets.
     BUDGETS = [(50, 3), (10, 2), (50, 5), (10, 2), (80, 4)]
@@ -421,7 +421,9 @@ class TestSharedTables:
         assert shared == fresh
         assert repr(shared) == repr(fresh)
 
-    def test_each_account_is_scored_once_per_instant(self, monkeypatch):
+    @pytest.fixture
+    def scoring_calls(self, monkeypatch):
+        """Scoring calls made through the network module, by (account id, instant)."""
         calls = Counter()
         original = network_module.influence_metric
 
@@ -430,19 +432,38 @@ class TestSharedTables:
             return original(snapshot, as_of)
 
         monkeypatch.setattr(network_module, "influence_metric", counting)
+        return calls
+
+    def test_each_account_is_scored_once_per_instant(self, scoring_calls):
         dataset = self.dataset()
         root, first = self.root_of(dataset), dataset.captured_at
+        scores = {}
         for n_f, k in self.BUDGETS:
-            compare_networks(dataset, root, n_f, k, self.TTL, first)
-        assert len(calls) > 100
-        assert sum(calls.values()) == len(calls)
+            compare_networks(dataset, root, n_f, k, self.TTL, first, scores)
+        assert len(scoring_calls) > 100
+        assert sum(scoring_calls.values()) == len(scoring_calls)
+        assert list(scores) == [first]
+        assert set(scores[first]) == {account_id for account_id, _ in scoring_calls}
+        at_first = dict(scores[first])
 
         later = first + timedelta(days=1)
-        compare_networks(dataset, root, 10, 2, self.TTL, later)
-        rescored = {account_id for account_id, as_of in calls if as_of == later}
+        compare_networks(dataset, root, 10, 2, self.TTL, later, scores)
+        rescored = {account_id for account_id, as_of in scoring_calls if as_of == later}
         assert {root} | {s.account_id for s in followers_of(dataset, root, 10)} <= rescored
-        assert sum(calls.values()) == len(calls)
-        assert list(dataset._ranking_tables) == [later]
+        assert sum(scoring_calls.values()) == len(scoring_calls)
+        assert list(scores) == [first, later]
+        assert scores[first] == at_first
+        assert scores[later] == {a: influence_metric(dataset.accounts[a], later) for a in rescored}
+        assert scores[later][root] != at_first[root]
+
+    def test_a_comparison_without_a_table_scores_each_account_once(self, scoring_calls):
+        dataset = self.dataset()
+        root = self.root_of(dataset)
+        for n_f, k in self.BUDGETS:
+            scoring_calls.clear()
+            compare_networks(dataset, root, n_f, k, self.TTL, dataset.captured_at)
+            # Nothing is kept between calls: each one scores its accounts again.
+            assert scoring_calls and max(scoring_calls.values()) == 1
 
 
 class TestExport:

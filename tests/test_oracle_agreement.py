@@ -22,6 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from influence_tracker import diffusion
 from influence_tracker.cli import main
 
 BENCH = Path(__file__).parent.parent / "perfbench"
@@ -127,3 +128,25 @@ def test_score_and_compare_match_the_reference(snapshot, later, data):
                         "--root", root, "--nf", ",".join(map(str, n_f)), "--k", ",".join(map(str, k)),
                         "--ttl", str(ttl)])
         assert checks.check_sweep(payload, op, networks, ref) == []
+
+
+def test_tie_rule_cannot_contradict_the_benchmark_checker():
+    """The checker leaves a winner unchecked when the gap is within
+    1e-12 + 2 * REL * (larger total) of a tie. A relative tolerance no larger
+    than 2 * REL makes the program name a winner for every gap it checks."""
+    assert diffusion.TIE_TOLERANCE <= 2 * checks.REL
+    # Against the bursting root the gap is below the reference's absolute
+    # 1e-12, where the program names by-influence.
+    path = Path(__file__).parent / "data" / "relative_tie.jsonl"
+    ref = oracle.reference(path)
+    payload = _run(["compare", "--format", "json", "--dataset", str(path), "--root", "burst",
+                    "--nf", "2", "--k", "1", "--ttl", "1"])
+    block = payload["results"][0]
+    assert block["winner"] == "by_influence"
+    expected = {}
+    for category in oracle.CATEGORIES:
+        net = oracle.build_network(ref, "burst", 2, 1, 1, category)
+        rates = {a: (ref.table[a].tcr, ref.table[a].retweet_prob) for a in net.layers}
+        expected[category] = oracle.forward_pass(net.layers, net.edges, rates, net.root, net.sink, net.ttl)
+    assert oracle.winner(*(total for _, total in expected.values())) == "tie"
+    assert checks._check_totals(block, expected) == []
