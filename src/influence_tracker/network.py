@@ -5,7 +5,7 @@ Starting from a root, each layer's nodes are expanded by fetching up to
 rival ranking categories: by influence score, or by raw follower count.
 Expansion stops after ``ttl`` layers, or once a layer adds no account.
 Every last-layer node feeds one synthetic sink, so all diffusion paths
-share one endpoint; the sink is drawn only in the ``to_dict`` dump.
+share one endpoint; the sink is drawn only in network dumps.
 
 A node's layer is the depth at which it was first selected (first
 assignment wins); later selections only add edges. The root is never
@@ -89,7 +89,10 @@ class LayeredNetwork:
 
     def to_dict(self) -> dict:
         """JSON-ready dump: node records then edge records, fully sorted, with
-        the sink's record last and an edge into it from each layer-ttl node."""
+        the sink's record last and an edge into it from each layer-ttl node.
+
+        The JSON report writes networks without building this dict; its
+        writer is tested against ``json.dumps`` of this dump."""
         sink_id = self.sink_id
         nodes = self.sorted_nodes()
         edges = list(self.edges)

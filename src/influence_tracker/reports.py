@@ -1,10 +1,12 @@
 """Rendering of score and comparison reports as text, CSV, or JSON.
 
 Each report is built once as JSON-ready rows. JSON prints them in exactly
-``json.dumps(indent=2)`` layout, each list of flat records in one C-encoder
-call. CSV and text print the same values through one table writer, which
-formats each cell by its type: a float gets three decimal places, text adds
-thousands separators to floats and ints, and a string prints unchanged.
+``json.dumps(indent=2)`` layout: each list of flat records (score rows) goes
+through one C-encoder call, and each dumped network is written straight from
+its nodes and edges, one f-string per node and one join per edge source. CSV
+and text print the same values through one table writer, which formats each
+cell by its type: a float gets three decimal places, text adds thousands
+separators to floats and ints, and a string prints unchanged.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import defaultdict
 from datetime import datetime
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .diffusion import ComparisonResult
 from .metrics import EPSILON_DAYS, h_index_report, influence_metric
+from .network import LayeredNetwork
 from .store import SnapshotDataset
 
 SCORE_COLUMNS = (
@@ -29,11 +35,73 @@ COMPARE_COLUMNS = (
 )
 
 
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: an int, float, bool or None key
+    is quoted as JSON spells the value; any other non-str key is a TypeError."""
+    return json.dumps({key: 0})[1:-4]  # '{' + key + ': 0}'
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)``, without the encoder call for an exact str, int or finite float."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _dump_network(network: LayeredNetwork, pad: str) -> str:
+    """``_dumps(network.to_dict(), pad)``, written from the nodes and edges.
+
+    Edges are grouped by source, and the sources and each source's
+    destinations are sorted: the order of ``sorted(pairs)``, as ids that
+    compare equal are one account. Each id is encoded once.
+    """
+    keys, records = pad + "  ", pad + "    "
+    fields = records + "  "
+    nodes = network.sorted_nodes()
+    sink_id = network.sink_id
+    groups = defaultdict(list)
+    for src, dst in network.edges:
+        groups[src].append(dst)
+    for node in nodes:
+        if node.layer == network.ttl:
+            groups[node.account_id].append(sink_id)
+    names = {i: _scalar(i) for i in set().union((n.account_id for n in nodes), groups, *groups.values())}
+    node_records = [
+        f'{records}{{{fields}"id": {names[n.account_id]},{fields}"layer": {_scalar(n.layer)},'
+        f'{fields}"tcr": {_scalar(n.tcr)},{fields}"retweet_prob": {_scalar(n.retweet_prob)},'
+        f'{fields}"influence": {_scalar(n.influence)},'
+        f'{fields}"followers_count": {_scalar(n.followers_count)}{records}}}'
+        for n in nodes
+    ]
+    node_records.append(
+        f'{records}{{{fields}"id": {_scalar(sink_id)},{fields}"layer": null,{fields}"tcr": 0.0,'
+        f'{fields}"retweet_prob": 0.0,{fields}"influence": 0.0,{fields}"followers_count": 0{records}}}'
+    )
+    edge_groups, tail = [], records + "}"
+    for src in sorted(groups):
+        head = f'{records}{{{fields}"from": {names[src]},{fields}"to": '
+        edge_groups.append(head + (tail + "," + head).join([names[dst] for dst in sorted(groups[src])]) + tail)
+    edges = "[" + ",".join(edge_groups) + keys + "]" if edge_groups else "[]"
+    return (
+        f'{{{keys}"root": {_scalar(network.root)},{keys}"category": {_scalar(network.category.value)},'
+        f'{keys}"ttl": {_scalar(network.ttl)},{keys}"sink_id": {_scalar(sink_id)},'
+        f'{keys}"nodes": [{",".join(node_records)}{keys}],{keys}"edges": {edges}{pad}}}'
+    )
+
+
 def _dumps(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, with each list of flat records in one C-encoder call."""
+    """``json.dumps(value, indent=2)``, with a ``LayeredNetwork`` written as
+    its ``to_dict()`` and each list of flat records in one C-encoder call."""
+    if isinstance(value, LayeredNetwork):
+        return _dump_network(value, pad)
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()) + pad + "}"
+        return "{" + ",".join(f"{inner}{_key(k)}: {_dumps(v, inner)}" for k, v in value.items()) + pad + "}"
     if not isinstance(value, (list, tuple)) or not value:
         return json.dumps(value)
     if {*map(type, value)} != {dict} or not all(value) or not {
@@ -140,7 +208,7 @@ def render_compare(
             block["difference"] = result.difference
             block["winner"] = _winner_label(result)
             if dump_networks:
-                block["networks"] = {c.value: n.to_dict() for c, n in result.networks.items()}
+                block["networks"] = {c.value: n for c, n in result.networks.items()}
             blocks.append(block)
         payload = {
             "command": "compare",

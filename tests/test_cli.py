@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 import influence_tracker
-from influence_tracker import generate_synthetic, load_dataset, save_dataset
+from influence_tracker import (
+    LayeredNetwork, NetworkNode, RankingCategory, build_network, generate_synthetic, load_dataset, save_dataset,
+)
 from influence_tracker.cli import main
 from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps, score_rows
 
@@ -363,19 +365,59 @@ class TestJsonLayout:
 
 # JSON-ready values: strings that could fool a writer that splices
 # encoded text, every float the encoder spells specially, ints past
-# 64 bits, and lists of flat records beside lists of nested ones.
+# 64 bits, keys that json.dumps turns into strings, and lists of flat
+# records beside lists of nested ones.
 TRICKY_TEXT = st.text(alphabet=st.sampled_from('"\\\n},{ aé\u2028\U0001f600'), max_size=6)
+SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1])
 SCALARS = (
-    st.none() | st.booleans() | TRICKY_TEXT
-    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 0.1])
+    st.none() | st.booleans() | TRICKY_TEXT | SPECIAL_FLOATS
     | st.floats() | st.integers(min_value=-(2**70), max_value=2**70) | st.just(2**63)
 )
-FLAT_RECORD = st.dictionaries(TRICKY_TEXT, SCALARS, min_size=1, max_size=4)
+KEYS = (
+    TRICKY_TEXT | st.integers(min_value=-(2**70), max_value=2**70)
+    | SPECIAL_FLOATS | st.floats() | st.booleans() | st.none()
+)
+FLAT_RECORD = st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4)
 JSON_READY = st.recursive(
     SCALARS | st.lists(FLAT_RECORD, max_size=4),
-    lambda inner: st.lists(inner | FLAT_RECORD, max_size=4) | st.dictionaries(TRICKY_TEXT, inner, max_size=4),
+    lambda inner: st.lists(inner | FLAT_RECORD, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
     max_leaves=20,
 )
+
+
+def seeded_networks():
+    """Networks built from `gen` snapshots: both categories, ttl 1-5."""
+    dataset = generate_synthetic(seed=11, accounts=80, max_followers=20)
+    root = max(sorted(dataset.accounts), key=lambda a: len(dataset.accounts[a].follower_ids))
+    return [
+        build_network(dataset, root, 20, 3, ttl, category, dataset.captured_at)
+        for category in RankingCategory for ttl in range(1, 6)
+    ]
+
+
+def hand_built_networks():
+    """Networks no build makes: odd rates and ids, a node named like the
+    sink, stray edges out of the last layer, and a root with no edges."""
+    odd_id = 'q"uo\\te\n\x01é\U0001f600'
+    odd = LayeredNetwork("r", RankingCategory.BY_INFLUENCE, 2, nodes={
+        "r": NetworkNode("r", 0, 3, True, None, 7),
+        odd_id: NetworkNode(odd_id, 1, float("nan"), float("inf"), float("-inf"), -0.0),
+        "ü": NetworkNode("ü", 2, -0.0, False, 2**70, True),
+    }, edges={("r", odd_id), (odd_id, "ü"), ("r", "ü")})
+    sink_named = LayeredNetwork("__sink__", RankingCategory.BY_FOLLOWERS, 1, nodes={
+        "__sink__": NetworkNode("__sink__", 0, 1.0, 0.5, 0.25, 3),
+        "__sink___": NetworkNode("__sink___", 1, 0.1, 0.2, 0.3, 4),
+        "a": NetworkNode("a", 1, 0.4, 0.5, 0.6, 5),
+    }, edges={("__sink__", "__sink___"), ("__sink__", "a")})
+    stray = LayeredNetwork("r", RankingCategory.BY_FOLLOWERS, 1, nodes={
+        "r": NetworkNode("r", 0, 1.0, 0.5, 0.25, 3),
+        "b": NetworkNode("b", 1, 0.1, 0.2, 0.3, 4),
+        "a": NetworkNode("a", 1, 0.4, 0.5, 0.6, 5),
+    }, edges={("r", "b"), ("r", "a"), ("b", "a"), ("a", "r"), ("b", "__sink__"), ("b", "z")})
+    root_only = LayeredNetwork("r", RankingCategory.BY_INFLUENCE, 3, nodes={
+        "r": NetworkNode("r", 0, 1.0, 0.5, 0.25, 3),
+    })
+    return [odd, sink_named, stray, root_only]
 
 
 class TestJsonWriter:
@@ -383,6 +425,20 @@ class TestJsonWriter:
     @given(JSON_READY)
     def test_writer_matches_json_dumps_indent_2(self, payload):
         assert _dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("key", [(1, 2), b"k", frozenset()], ids=["tuple", "bytes", "frozenset"])
+    def test_writer_rejects_the_keys_json_dumps_rejects(self, key):
+        with pytest.raises(TypeError):
+            json.dumps({key: 0}, indent=2)
+        with pytest.raises(TypeError):
+            _dumps({key: 0})
+
+    @pytest.mark.parametrize("networks", [seeded_networks, hand_built_networks], ids=["seeded", "hand-built"])
+    def test_network_is_written_as_its_dict(self, networks):
+        for network in networks():
+            expected = json.dumps(network.to_dict(), indent=2)
+            for pad in ("\n", "\n  ", "\n        "):
+                assert _dumps(network, pad) == expected.replace("\n", pad)
 
     @pytest.mark.parametrize("handles", [["SkaiGr", "YourAnonNews"], []], ids=["handles", "none"])
     def test_score_json_is_indent_2(self, capsys, handles):
