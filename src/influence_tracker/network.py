@@ -123,20 +123,18 @@ def rank_followers(
     key: Callable[[AccountSnapshot], float],
     k: int,
 ) -> list[str]:
-    """Top-k candidate ids by descending ``key``, ties broken by ascending id.
+    """Top-k candidate ids by descending ``key``; equal keys keep input order.
 
-    ``build_network`` passes each parent's first ``n_f`` followers, with the
-    influence score from its score table for ByInfluence and the raw
-    follower count for ByFollowers. Returns at most k ids, best first.
+    Candidates arrive in ascending id order, as ``followers_of`` returns
+    them, so ties break by ascending id. ``build_network`` passes each
+    parent's first ``n_f`` followers, with the influence score from its
+    score table for ByInfluence and the raw follower count for ByFollowers.
+    Returns at most k ids, best first.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # Sort by id, then stably by descending key (reverse=True keeps equal
-    # keys in order): same order as one sort on (-key, id), with no tuple
-    # built per candidate.
-    ranked = sorted(candidates, key=attrgetter("account_id"))
-    ranked.sort(key=key, reverse=True)
-    return [snapshot.account_id for snapshot in ranked[:k]]
+    # A stable sort: reverse=True keeps equal keys in input order.
+    return [snapshot.account_id for snapshot in sorted(candidates, key=key, reverse=True)[:k]]
 
 
 def build_network(
@@ -195,11 +193,8 @@ def build_network(
         )
 
     if category is RankingCategory.BY_INFLUENCE:
-        def key(snapshot: AccountSnapshot) -> float:  # reads the table itself: one frame a call
-            score = table.get(snapshot.account_id)
-            if score is None:
-                score = score_of(snapshot)
-            return score.value
+        def key(snapshot: AccountSnapshot) -> float:
+            return score_of(snapshot).value
     else:
         key = attrgetter("followers_count")
 

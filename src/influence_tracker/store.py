@@ -97,8 +97,9 @@ class SnapshotDataset:
     loaded dataset has no two handles with the same ``_handle_key``.
 
     The casefolded-handle index is built with the dataset. ``followers_of``
-    caches each account's resolvable follower snapshots, in id order; racing
-    threads store equal tuples, each in one assignment.
+    caches each account's resolvable follower snapshots, in id order, which
+    is also the ranking's tie order; racing threads store equal tuples, each
+    in one assignment.
     """
 
     dataset_id: str
@@ -318,9 +319,11 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
 def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[AccountSnapshot]:
     """Up to ``limit`` follower snapshots of an account, smallest ids first.
 
-    Follower ids with no account record are skipped. Each account's
-    resolvable snapshots are kept on the dataset, sorted once, and each
-    call returns a new list. Raises UnknownAccount if the account is absent.
+    This id order is the ranking's tie order: ``rank_followers`` keeps equal
+    keys in the order it is given. Follower ids with no account record are
+    skipped. Each account's resolvable snapshots are kept on the dataset,
+    sorted once, and each call returns a new list. Raises UnknownAccount if
+    the account is absent.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

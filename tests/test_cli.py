@@ -23,7 +23,7 @@ from influence_tracker.cli import main
 from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps, score_rows
 
 from conftest import dataset_from_spec, layered_spec
-from test_store import OUT_OF_RANGE, header_account_tweet
+from test_store import OUT_OF_RANGE, account_line, header_account_tweet, tweet_line, write_lines
 
 DATA_DIR = Path(__file__).parent / "data"
 REFERENCE = str(DATA_DIR / "reference_accounts.jsonl")
@@ -278,6 +278,31 @@ class TestCompare:
         networks = doc["results"][0]["networks"]
         assert {n["id"] for n in networks["by_influence"]["nodes"]} >= {root}
         assert networks["by_followers"]["edges"]
+
+    def test_ties_select_the_smallest_ids(self, capsys, tmp_path):
+        # The root lists its followers in descending id order. They are
+        # stubs with equal follower counts, so they tie in both categories
+        # and k = 2 cuts the tie group: the id order of followers_of decides.
+        followers = ["f5", "f4", "f3", "f2", "f1"]
+        path = write_lines(
+            tmp_path,
+            account_line("root", followers=5, follower_ids=followers),
+            tweet_line("t1", "root"),
+            tweet_line("t2", "root", days_ago=1.5),
+            *(account_line(follower, followers=7) for follower in followers),
+        )
+        dataset = load_dataset(path)
+        for category in RankingCategory:
+            network = build_network(dataset, "root", n_f=5, k=2, ttl=1, category=category,
+                                    as_of=dataset.captured_at)
+            assert set(network.nodes) == {"root", "f1", "f2"}, category
+        code, out, _ = run(capsys, ["compare", "--dataset", str(path), "--root", "root",
+                                    "--k", "2", "--ttl", "1", "--format", "json", "--dump-networks"])
+        assert code == 0
+        networks = json.loads(out)["results"][0]["networks"]
+        for category in RankingCategory:
+            nodes = networks[category.value]["nodes"]
+            assert [node["id"] for node in nodes[:-1]] == ["root", "f1", "f2"], category
 
     def test_one_call_scores_each_account_once(self, capsys, monkeypatch, tmp_path):
         import influence_tracker.network as network_module
