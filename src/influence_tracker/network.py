@@ -50,8 +50,10 @@ class NetworkNode:
 class LayeredNetwork:
     """A rooted, layer-annotated follower graph under one category.
 
-    ``edges`` holds ``(src, dst)`` account-id pairs: ``dst`` follows
-    ``src``, so tweets flow src -> dst.
+    Node ids are str, as the loader, ``gen`` and every build make them: the
+    JSON writer groups edges by source id, which keeps each id's spelling
+    only for str. ``edges`` holds ``(src, dst)`` account-id pairs: ``dst``
+    follows ``src``, so tweets flow src -> dst.
     """
 
     root: str
@@ -86,36 +88,6 @@ class LayeredNetwork:
         nodes = sorted(self.nodes.values(), key=attrgetter("account_id"))
         nodes.sort(key=attrgetter("layer"))
         return nodes
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump: node records then edge records, fully sorted, with
-        the sink's record last and an edge into it from each layer-ttl node.
-
-        The JSON report writes networks without building this dict; its
-        writer is tested against ``json.dumps`` of this dump."""
-        sink_id = self.sink_id
-        nodes = self.sorted_nodes()
-        edges = list(self.edges)
-        edges += [(n.account_id, sink_id) for n in nodes if n.layer == self.ttl]
-        return {
-            "root": self.root,
-            "category": self.category.value,
-            "ttl": self.ttl,
-            "sink_id": sink_id,
-            "nodes": [
-                {
-                    "id": n.account_id,
-                    "layer": n.layer,
-                    "tcr": n.tcr,
-                    "retweet_prob": n.retweet_prob,
-                    "influence": n.influence,
-                    "followers_count": n.followers_count,
-                }
-                for n in nodes
-            ] + [{"id": sink_id, "layer": None, "tcr": 0.0, "retweet_prob": 0.0,
-                  "influence": 0.0, "followers_count": 0}],
-            "edges": [{"from": src, "to": dst} for src, dst in sorted(edges)],
-        }
 
 
 def rank_followers(

@@ -54,11 +54,14 @@ def _scalar(value) -> str:
 
 
 def _dump_network(network: LayeredNetwork, pad: str) -> str:
-    """``_dumps(network.to_dict(), pad)``, written from the nodes and edges.
+    """The network's JSON dump in ``json.dumps(indent=2)`` layout, each line
+    after the first starting with ``pad``: root, category, ttl and sink_id;
+    the nodes by (layer, id), then the sink's record; then every edge
+    sorted, with an edge into the sink from each layer-ttl node.
 
     Edges are grouped by source, and the sources and each source's
-    destinations are sorted: the order of ``sorted(pairs)``, as ids that
-    compare equal are one account. Each id is encoded once.
+    destinations are sorted: the order of ``sorted(pairs)``, as node ids are
+    str (see ``LayeredNetwork``). Each id is encoded once.
     """
     keys, records = pad + "  ", pad + "    "
     fields = records + "  "
@@ -95,8 +98,8 @@ def _dump_network(network: LayeredNetwork, pad: str) -> str:
 
 
 def _dumps(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, with a ``LayeredNetwork`` written as
-    its ``to_dict()`` and each list of flat records in one C-encoder call."""
+    """``json.dumps(value, indent=2)``, with a ``LayeredNetwork`` written by
+    ``_dump_network`` and each list of flat records in one C-encoder call."""
     if isinstance(value, LayeredNetwork):
         return _dump_network(value, pad)
     inner = pad + "  "

@@ -31,7 +31,8 @@ An account with counters but no tweets is a *stub*: a frontier account
 whose own activity was never fetched. A stub's window is None, and it
 ranks as inactive (zero tweet rate). Follower ids that resolve to no
 account record at all are tolerated on load and skipped by followers_of,
-since they carry no counters to rank.
+since they carry no counters to rank. A loaded dataset holds one str per
+distinct id: each follower list shares the objects of the accounts' keys.
 """
 
 from __future__ import annotations
@@ -162,10 +163,15 @@ def _record_kind(record: dict, line_no: int) -> str:
         raise ParseError(line_no, f"unknown record kind {kind!r}")
     for name, json_type in fields:
         value = record.get(name)
-        if type(value) is not json_type or json_type is list and not {*map(type, value)} <= {str}:
+        if type(value) is not json_type:
             break
         if json_type is int and not 0 <= value < COUNT_BOUND:
             raise ParseError(line_no, f"bad {kind} record: {name} must be in [0, 2**63), got {value}")
+        if json_type is list:
+            try:  # one C call; both decoders give exact str, so only a non-str item raises
+                "".join(value)
+            except TypeError:
+                break
     else:
         return kind
     missing = [f for f, _ in fields if f not in record]
@@ -185,6 +191,8 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
     path = Path(path)
     # Each account's checked AccountSnapshot fields in order, captured_at last.
     checked: dict[str, tuple] = {}
+    # Every account id and follower id, mapped to its first str, so each list and key shares it.
+    same_id = {}.setdefault
     handle_owners: dict[str, str] = {}
     tweets: dict[str, dict[str, TweetRow]] = {}
     author = None  # of the last tweet line; gen files group tweets by author
@@ -238,10 +246,12 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
                         captured_at = parse_timestamp(record["captured_at"])
                     except ValueError as exc:
                         raise ParseError(line_no, f"bad account record: {exc}") from None
-                    follower_ids = tuple(record["follower_ids"])
-                    if len(set(follower_ids)) != len(follower_ids):
+                    account_id = same_id(account_id, account_id)
+                    follower_ids = tuple(map(same_id, record["follower_ids"], record["follower_ids"]))
+                    distinct = set(follower_ids)
+                    if len(distinct) != len(follower_ids):
                         raise ParseError(line_no, "bad account record: follower_ids contains duplicates")
-                    if account_id in follower_ids:
+                    if account_id in distinct:
                         raise ParseError(line_no, "bad account record: follower_ids must not contain the account itself")
                     if len(follower_ids) > followers_count:
                         raise ParseError(line_no, f"bad account record: follower_ids has {len(follower_ids)} "

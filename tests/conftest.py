@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from influence_tracker import AccountSnapshot, SnapshotDataset, TweetWindow
+from influence_tracker import AccountSnapshot, LayeredNetwork, SnapshotDataset, TweetWindow
 from influence_tracker.models import TweetRow
 
 AS_OF = datetime(2023, 5, 1, tzinfo=timezone.utc)
@@ -63,6 +63,36 @@ def make_account(
         captured_at=captured_at,
         window=window,
     )
+
+
+def network_dict(network: LayeredNetwork) -> dict:
+    """The reference dump of a network: node records then edge records, fully
+    sorted, with the sink's record last and an edge into it from each
+    layer-ttl node. The JSON report's network writer is held to
+    ``json.dumps(network_dict(network), indent=2)``."""
+    sink_id = network.sink_id
+    nodes = network.sorted_nodes()
+    edges = list(network.edges)
+    edges += [(n.account_id, sink_id) for n in nodes if n.layer == network.ttl]
+    return {
+        "root": network.root,
+        "category": network.category.value,
+        "ttl": network.ttl,
+        "sink_id": sink_id,
+        "nodes": [
+            {
+                "id": n.account_id,
+                "layer": n.layer,
+                "tcr": n.tcr,
+                "retweet_prob": n.retweet_prob,
+                "influence": n.influence,
+                "followers_count": n.followers_count,
+            }
+            for n in nodes
+        ] + [{"id": sink_id, "layer": None, "tcr": 0.0, "retweet_prob": 0.0,
+              "influence": 0.0, "followers_count": 0}],
+        "edges": [{"from": src, "to": dst} for src, dst in sorted(edges)],
+    }
 
 
 def dataset_from_spec(spec: dict[str, dict], dataset_id: str = "fixture") -> SnapshotDataset:

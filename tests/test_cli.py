@@ -22,7 +22,7 @@ from influence_tracker import (
 from influence_tracker.cli import main
 from influence_tracker.reports import COMPARE_COLUMNS, SCORE_COLUMNS, _dumps, score_rows
 
-from conftest import dataset_from_spec, layered_spec
+from conftest import dataset_from_spec, layered_spec, network_dict
 from test_store import OUT_OF_RANGE, account_line, header_account_tweet, tweet_line, write_lines
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -461,7 +461,7 @@ class TestJsonWriter:
     @pytest.mark.parametrize("networks", [seeded_networks, hand_built_networks], ids=["seeded", "hand-built"])
     def test_network_is_written_as_its_dict(self, networks):
         for network in networks():
-            expected = json.dumps(network.to_dict(), indent=2)
+            expected = json.dumps(network_dict(network), indent=2)
             for pad in ("\n", "\n  ", "\n        "):
                 assert _dumps(network, pad) == expected.replace("\n", pad)
 

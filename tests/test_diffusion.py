@@ -27,7 +27,7 @@ from influence_tracker import (
     tweet_transmission,
 )
 
-from conftest import AS_OF, dataset_from_spec, layered_spec
+from conftest import AS_OF, dataset_from_spec, layered_spec, network_dict
 
 RELATIVE_TIE = Path(__file__).parent / "data" / "relative_tie.jsonl"
 
@@ -44,7 +44,7 @@ def brute_force_paths(network):
     then filtered to the layer sequence 0, 1, ..., ttl, sink. Recomputes
     edge factors inline. Also checks that the dump wires exactly the
     layer-ttl nodes to the sink."""
-    dump = network.to_dict()
+    dump = network_dict(network)
     sink_id = dump["sink_id"]
     layer_of = {n["id"]: n["layer"] for n in dump["nodes"]}
     adjacency = {}

@@ -21,7 +21,7 @@ from influence_tracker import (
 )
 from influence_tracker import network as network_module
 
-from conftest import AS_OF, complete_tree_spec, dataset_from_spec, make_account
+from conftest import AS_OF, complete_tree_spec, dataset_from_spec, make_account, network_dict
 
 BOTH_CATEGORIES = [RankingCategory.BY_INFLUENCE, RankingCategory.BY_FOLLOWERS]
 
@@ -79,7 +79,7 @@ def network_layers_and_edges(network):
 
 def dumped_sink_edges(network):
     """The (src, sink) edges of the network's dump."""
-    dump = network.to_dict()
+    dump = network_dict(network)
     return {(e["from"], e["to"]) for e in dump["edges"] if e["to"] == dump["sink_id"]}
 
 
@@ -233,7 +233,7 @@ class TestBuildNetwork:
         for node in network.nodes.values():
             if node.layer == network.ttl:
                 assert (node.account_id, network.sink_id) in sink_edges
-        assert network.sink_id not in {e["from"] for e in network.to_dict()["edges"]}
+        assert network.sink_id not in {e["from"] for e in network_dict(network)["edges"]}
 
     def test_budget_bound(self):
         dataset = generate_synthetic(seed=21, accounts=80, max_followers=25)
@@ -251,7 +251,7 @@ class TestBuildNetwork:
         second = build_network(dataset, root, 12, 3, 3, RankingCategory.BY_INFLUENCE, AS_OF)
         assert first.nodes == second.nodes
         assert first.edges == second.edges
-        assert first.to_dict() == second.to_dict()
+        assert network_dict(first) == network_dict(second)
 
     def test_degenerate_network(self):
         dataset = dataset_from_spec({"loner": {"follower_ids": ()}, "other": {}})
@@ -403,7 +403,7 @@ class TestSharedTables:
         except ClockSkew as exc:
             return str(exc)
         return (result.ttt, result.paths, result.difference, result.winner,
-                {category: network.to_dict() for category, network in result.networks.items()})
+                {category: network_dict(network) for category, network in result.networks.items()})
 
     @pytest.mark.parametrize("budgets", [BUDGETS, BUDGETS[::-1]], ids=["listed", "reversed"])
     @pytest.mark.parametrize("late_from", [None, 108], ids=["on-time", "late"])
@@ -473,7 +473,7 @@ class TestExport:
         network = build_network(
             tree_dataset, "n0", 50, 3, 3, RankingCategory.BY_FOLLOWERS, AS_OF
         )
-        dump = network.to_dict()
+        dump = network_dict(network)
         assert len(dump["nodes"]) == len(network.nodes) + 1
         assert len(dump["edges"]) == len(network.edges) + 27
         keys = [(n["layer"] if n["layer"] is not None else 99, n["id"]) for n in dump["nodes"]]

@@ -84,6 +84,14 @@ MISTYPED = [
     pytest.param("account", "follower_ids", "[1]", 2, "must be lists of strings: follower_ids", id="int-ids"),
     pytest.param("tweet", "retweet_count", "2.5", 3, "must be integers: retweet_count", id="float-retweets"),
     pytest.param("tweet", "favorite_count", "false", 3, "must be integers: favorite_count", id="bool-favorites"),
+    pytest.param("account", "follower_ids", '["b", 1]', 2, "must be lists of strings: follower_ids", id="mixed-ids"),
+    pytest.param("account", "follower_ids", "[null]", 2, "must be lists of strings: follower_ids", id="null-ids"),
+    pytest.param("account", "follower_ids", "[true]", 2, "must be lists of strings: follower_ids", id="bool-ids"),
+    pytest.param("account", "follower_ids", "[1.5]", 2, "must be lists of strings: follower_ids", id="float-ids"),
+    pytest.param("account", "follower_ids", '[["b"]]', 2, "must be lists of strings: follower_ids",
+                 id="nested-list-ids"),
+    pytest.param("account", "follower_ids", '[{"b": 1}]', 2, "must be lists of strings: follower_ids",
+                 id="dict-in-ids"),
 ]
 
 # Values out of range, each refused at its line. Most used to end in an
@@ -595,6 +603,47 @@ def gen_lines(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert sum('"kind":"tweet"' in line for line in lines) > 20
     return lines
+
+
+def assert_one_str_per_id(dataset):
+    """Each account's id is its key's object, each follower id that names
+    an account is that account's id object, and equal follower ids in
+    different lists are one object."""
+    keys = {account_id: account_id for account_id in dataset.accounts}
+    first = {}
+    for account_id, account in dataset.accounts.items():
+        assert account.account_id is account_id
+        for follower_id in account.follower_ids:
+            assert first.setdefault(follower_id, follower_id) is follower_id
+            assert keys.get(follower_id, follower_id) is follower_id
+
+
+class TestSharedIds:
+    """The loader keeps one str per distinct id, on both decode paths."""
+
+    def test_gen_file(self, tmp_path):
+        path = tmp_path / "gen.jsonl"
+        save_dataset(generate_synthetic(seed=8, accounts=60, max_followers=12), path)
+        for dataset in (load_outcome(path), stdlib_outcome(path)):
+            assert sum(len(account.follower_ids) for account in dataset.accounts.values()) > 100
+            assert_one_str_per_id(dataset)
+
+    def test_follower_listed_before_its_account(self, tmp_path):
+        path = write_lines(tmp_path, account_line("acct-a", follower_ids=["acct-b"]),
+                           account_line("acct-b", follower_ids=["acct-a"]),
+                           account_line("acct-c", follower_ids=["acct-b"]))
+        for dataset in (load_outcome(path), stdlib_outcome(path)):
+            assert dataset.accounts["acct-a"].follower_ids == ("acct-b",)
+            assert_one_str_per_id(dataset)
+
+    def test_id_with_no_account_listed_twice(self, tmp_path):
+        path = write_lines(tmp_path, account_line("acct-a", follower_ids=["ghost-1"]),
+                           account_line("acct-b", follower_ids=["ghost-1", "acct-a"]))
+        for dataset in (load_outcome(path), stdlib_outcome(path)):
+            assert "ghost-1" not in dataset.accounts
+            assert_one_str_per_id(dataset)
+            ghosts = [account.follower_ids[0] for account in dataset.accounts.values()]
+            assert ghosts == ["ghost-1", "ghost-1"] and ghosts[0] is ghosts[1]
 
 
 class TestLoaderState:
