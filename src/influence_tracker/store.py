@@ -68,6 +68,8 @@ _PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "bo
 COUNT_BOUND = 2**63
 # One shared encoder: json.dumps builds one per call.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# The C escaper the encoder hands an exact str to, called without the encoder's frame.
+_quote = json.encoder.encode_basestring_ascii
 # A tweet line's kind and six fields in one C call; KeyError if one is missing.
 _tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
 
@@ -297,13 +299,14 @@ def load_dataset(path: str | Path) -> SnapshotDataset:
 
 
 def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
-    """Write a dataset as canonical JSONL: accounts sorted by id, each
-    followed by its window's tweets newest-first."""
+    """Write a dataset as canonical JSONL, with "\n" line ends on every
+    platform: accounts sorted by id, each followed by its window's tweets
+    newest-first, each account's lines in one write."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         for account_id in sorted(dataset.accounts):
             account = dataset.accounts[account_id]
-            fh.write(_compact_json({
+            lines = [_compact_json({
                 "kind": "account",
                 "id": account.account_id,
                 "handle": account.handle,
@@ -311,19 +314,21 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
                 "following_count": account.following_count,
                 "follower_ids": account.follower_ids,
                 "captured_at": account.captured_at.isoformat(),
-            }) + "\n")
-            if account.window is None:
-                continue
-            author_id = _compact_json(account.account_id)
-            for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
-                # Exact ints and bools print as the encoder prints them; any
-                # other counter or flag goes through the encoder.
-                flag = "true" if is_retweet is True else "false" if is_retweet is False else _compact_json(is_retweet)
-                fh.write(f'{{"kind":"tweet","id":{_compact_json(tweet_id)},"author_id":{author_id},'
-                         f'"created_at":{_compact_json(created_at.isoformat())},'
-                         f'"retweet_count":{retweets if type(retweets) is int else _compact_json(retweets)},'
-                         f'"favorite_count":{favorites if type(favorites) is int else _compact_json(favorites)},'
-                         f'"is_retweet":{flag}}}\n')
+            }) + "\n"]
+            if account.window is not None:
+                author_id = _compact_json(account.account_id)
+                for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
+                    # An exact str, datetime, int or bool prints as the encoder would print it, with no
+                    # encoder frame (ISO text needs no escaping); any other value goes through the encoder.
+                    tweet_id = _quote(tweet_id) if type(tweet_id) is str else _compact_json(tweet_id)
+                    created_at = (f'"{created_at.isoformat()}"' if type(created_at) is datetime
+                                  else _compact_json(created_at.isoformat()))
+                    flag = "true" if is_retweet is True else "false" if is_retweet is False else _compact_json(is_retweet)
+                    lines.append(f'{{"kind":"tweet","id":{tweet_id},"author_id":{author_id},"created_at":{created_at},'
+                                 f'"retweet_count":{retweets if type(retweets) is int else _compact_json(retweets)},'
+                                 f'"favorite_count":{favorites if type(favorites) is int else _compact_json(favorites)},'
+                                 f'"is_retweet":{flag}}}\n')
+            fh.write("".join(lines))
 
 
 def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[AccountSnapshot]:
@@ -350,6 +355,7 @@ def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[
 
 _SYNTHETIC_EPOCH = datetime(2020, 6, 1, tzinfo=timezone.utc)
 _STUB_FRACTION = 0.15
+_TWEET_SUFFIXES = tuple(f"{j:03d}" for j in range(MAX_WINDOW_SIZE))
 
 
 def generate_synthetic(seed: int, accounts: int, max_followers: int) -> SnapshotDataset:
@@ -366,6 +372,7 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
         raise ValueError(f"max_followers must be >= 1, got {max_followers}")
 
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     ids = [f"acct-{i:05d}" for i in range(accounts)]
     snapshots: dict[str, AccountSnapshot] = {}
 
@@ -383,17 +390,27 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
             span_days = rng.uniform(0.5, 40.0)
             engagement_scale = int(10 ** rng.uniform(0, 3))
             retweet_propensity = rng.random()
-            tweets = []
-            for j in range(n_tweets):
-                offset = span_days * (j / (n_tweets - 1)) if n_tweets > 1 else rng.uniform(0.01, span_days)
-                tweets.append((
-                    f"tw-{i:05d}-{j:03d}",
-                    _SYNTHETIC_EPOCH - timedelta(days=offset),
-                    rng.randrange(engagement_scale + 1),
-                    rng.randrange(engagement_scale * 2 + 1),
-                    rng.random() < retweet_propensity,
-                ))
-            window = TweetWindow.from_tweets(tweets)
+            # Each counter is randrange(n) as the stdlib draws it: k = n.bit_length() random
+            # bits, drawn again while they reach n. One C call per draw keeps the stream.
+            n_retweets, n_favorites = engagement_scale + 1, engagement_scale * 2 + 1
+            k_retweets, k_favorites = n_retweets.bit_length(), n_favorites.bit_length()
+            # Offsets draw nothing, except a one-tweet window's, drawn before its counters.
+            last = n_tweets - 1
+            offsets = [span_days * (j / last) for j in range(n_tweets)] if last else [rng.uniform(0.01, span_days)]
+            retweets, favorites, flags = [], [], []
+            for _ in offsets:
+                value = getrandbits(k_retweets)
+                while value >= n_retweets:
+                    value = getrandbits(k_retweets)
+                retweets.append(value)
+                value = getrandbits(k_favorites)
+                while value >= n_favorites:
+                    value = getrandbits(k_favorites)
+                favorites.append(value)
+                flags.append(rng.random() < retweet_propensity)
+            window = TweetWindow(tuple(map(f"tw-{i:05d}-".__add__, _TWEET_SUFFIXES[:n_tweets])),
+                                 tuple(map(_SYNTHETIC_EPOCH.__sub__, map(timedelta, offsets))),
+                                 tuple(retweets), tuple(favorites), tuple(flags))
         snapshots[account_id] = AccountSnapshot(
             account_id=account_id,
             handle=f"user_{i:05d}",

@@ -856,6 +856,15 @@ class TestDeterminism:
         assert run(capsys, argv)[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_gen_bytes_of_the_sweep_snapshot_are_pinned(self, capsys, tmp_path):
+        # The benchmark's compare-sweep snapshot: on every benchmark seed,
+        # two versions of the program are compared on this one file.
+        path = tmp_path / "sweep.jsonl"
+        argv = ["gen", "--seed", "2014", "--accounts", "1500", "--max-followers", "200", "--out", str(path)]
+        assert run(capsys, argv)[0] == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "aeafcef74c5191e7c5596c68404152abdfe6f13e5ccffdf9c3ba1c9f7e658100"
+
     def test_compare_blocks_independent_of_config_order(self, capsys, tmp_path):
         # Budgets above and below each parent's follower count, in both
         # orders: per-dataset lookups must not carry one budget into the next.

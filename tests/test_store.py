@@ -1059,6 +1059,23 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(seed=1, accounts=1, max_followers=5)
 
+    @pytest.mark.parametrize("seed", [0, 3, 2014])
+    def test_counter_draw_is_randrange(self, seed):
+        # generate_synthetic draws each tweet counter the way randrange(n)
+        # draws it: n.bit_length() bits from getrandbits, drawn again while
+        # they reach n. The bounds sit at bit-length edges, up to just past
+        # the largest favorite bound (1999); the two streams must give the
+        # same values and end in the same state.
+        bounds = [*range(1, 10), 15, 16, 17, 1023, 1024, 1025, 1999, 2000, 2001]
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for n in random.Random(seed).choices(bounds, k=20_000):
+            k = n.bit_length()
+            value = ours.getrandbits(k)
+            while value >= n:
+                value = ours.getrandbits(k)
+            assert value == stdlib.randrange(n)
+        assert ours.getstate() == stdlib.getstate()
+
 
 # A small valid snapshot: four accounts, one of them a stub ("d").
 SMALL_SNAPSHOT = [
