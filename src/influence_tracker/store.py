@@ -44,6 +44,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from orjson import loads as _fast_loads
@@ -68,8 +69,6 @@ _PLURALS = {str: "strings", int: "integers", list: "lists of strings", bool: "bo
 COUNT_BOUND = 2**63
 # One shared encoder: json.dumps builds one per call.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
-# The C escaper the encoder hands an exact str to, called without the encoder's frame.
-_quote = json.encoder.encode_basestring_ascii
 # A tweet line's kind and six fields in one C call; KeyError if one is missing.
 _tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
 
@@ -318,13 +317,13 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
             if account.window is not None:
                 author_id = _compact_json(account.account_id)
                 for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
-                    # An exact str, datetime, int or bool prints as the encoder would print it, with no
-                    # encoder frame (ISO text needs no escaping); any other value goes through the encoder.
-                    tweet_id = _quote(tweet_id) if type(tweet_id) is str else _compact_json(tweet_id)
-                    created_at = (f'"{created_at.isoformat()}"' if type(created_at) is datetime
-                                  else _compact_json(created_at.isoformat()))
+                    # A str id, an exact int or bool prints as the encoder would print it, with no encoder
+                    # frame, and ISO text needs no escaping; any other id, counter or flag goes through it.
+                    tweet_id = (encode_basestring_ascii(tweet_id) if isinstance(tweet_id, str)
+                                else _compact_json(tweet_id))
                     flag = "true" if is_retweet is True else "false" if is_retweet is False else _compact_json(is_retweet)
-                    lines.append(f'{{"kind":"tweet","id":{tweet_id},"author_id":{author_id},"created_at":{created_at},'
+                    lines.append(f'{{"kind":"tweet","id":{tweet_id},"author_id":{author_id},'
+                                 f'"created_at":"{created_at.isoformat()}",'
                                  f'"retweet_count":{retweets if type(retweets) is int else _compact_json(retweets)},'
                                  f'"favorite_count":{favorites if type(favorites) is int else _compact_json(favorites)},'
                                  f'"is_retweet":{flag}}}\n')

@@ -959,6 +959,33 @@ class TestWriter:
             b'"retweet_count":3,"favorite_count":0,"is_retweet":true}\n'
         )
 
+    def test_ids_and_timestamps_of_other_types_are_written_as_before(self, tmp_path):
+        # A library-built window may hold a str-subclass or an int tweet id
+        # and datetime-subclass timestamps; the bytes were computed before
+        # tweet ids and timestamps stopped going through the encoder.
+        class Label(str):
+            pass
+
+        class Stamp(datetime):
+            pass
+
+        window = TweetWindow(
+            (Label("té2"), 7),
+            (Stamp(2023, 5, 1, tzinfo=timezone.utc), Stamp(2023, 4, 30, 11, 59, 59, 250000, tzinfo=timezone.utc)),
+            (1, 3), (0, 0), (False, True),
+        )
+        account = AccountSnapshot("a", "alice", 5, 0, (), AS_OF, window=window)
+        path = tmp_path / "typed.jsonl"
+        save_dataset(SnapshotDataset("typed", {"a": account}), path)
+        assert path.read_bytes() == (
+            b'{"kind":"account","id":"a","handle":"alice","followers_count":5,"following_count":0,'
+            b'"follower_ids":[],"captured_at":"2023-05-01T00:00:00+00:00"}\n'
+            b'{"kind":"tweet","id":"t\\u00e92","author_id":"a","created_at":"2023-05-01T00:00:00+00:00",'
+            b'"retweet_count":1,"favorite_count":0,"is_retweet":false}\n'
+            b'{"kind":"tweet","id":7,"author_id":"a","created_at":"2023-04-30T11:59:59.250000+00:00",'
+            b'"retweet_count":3,"favorite_count":0,"is_retweet":true}\n'
+        )
+
 
 class TestFollowersOf:
     def test_under_limit_returns_all(self):

@@ -42,12 +42,13 @@ def padded_copy(path, out, rng):
     captured = max(datetime.fromisoformat(json.loads(group[0])["captured_at"]) for group in groups)
     ids = [json.loads(group[0])["id"] for group in groups]
 
-    # Old tweets: each after its author's line, in that account's group or a later one.
+    # Old tweets: each after its author's line, in that account's group or a
+    # later one. Full accounts and their oldest tweets are read before any
+    # old tweet lands in a later group.
+    full = [(position, group[100]) for position, group in enumerate(groups) if len(group) == 101]
     old_tweets = 0
-    for position, group in enumerate(list(groups)):
-        if len(group) != 101:
-            continue
-        oldest = datetime.fromisoformat(json.loads(group[-1])["created_at"])
+    for position, oldest_line in full:
+        oldest = datetime.fromisoformat(json.loads(oldest_line)["created_at"])
         author_id = ids[position]
         for j in range(rng.randint(1, 30)):
             created_at = oldest - timedelta(seconds=rng.randint(1, 10**7), microseconds=rng.randrange(10**6))
