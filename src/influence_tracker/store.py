@@ -44,10 +44,12 @@ import operator
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from math import ceil, log
 from pathlib import Path
 
-from orjson import loads as _fast_loads
+from orjson import dumps as _fast_dumps, loads as _fast_loads
 
 from .errors import ParseError, UnknownAccount
 from .models import MAX_WINDOW_SIZE, AccountSnapshot, TweetRow, TweetWindow
@@ -71,6 +73,7 @@ COUNT_BOUND = 2**63
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # A tweet line's kind and six fields in one C call; KeyError if one is missing.
 _tweet_fields = operator.itemgetter("kind", *(name for name, _ in _FIELDS["tweet"]))
+_tzinfo, _isoformat = operator.attrgetter("tzinfo"), operator.methodcaller("isoformat")
 
 
 @contextlib.contextmanager
@@ -314,16 +317,27 @@ def save_dataset(dataset: SnapshotDataset, path: str | Path) -> None:
                 "follower_ids": account.follower_ids,
                 "captured_at": account.captured_at.isoformat(),
             }) + "\n"]
-            if account.window is not None:
+            window = account.window
+            if window is not None:
                 author_id = _compact_json(account.account_id)
-                for tweet_id, created_at, retweets, favorites, is_retweet in account.window.rows():
+                # orjson prints an exact datetime in timezone.utc as isoformat() does, all of a window's in one
+                # call; ISO text holds no quote. Any other instant (naive, another offset, a subclass) prints
+                # its own isoformat().
+                stamps = window.created_at
+                if (all(map(operator.is_, map(type, stamps), repeat(datetime)))
+                        and all(map(operator.is_, map(_tzinfo, stamps), repeat(timezone.utc)))):
+                    stamps = _fast_dumps(stamps)[2:-2].decode().split('","')
+                else:
+                    stamps = map(_isoformat, stamps)
+                for tweet_id, created_at, retweets, favorites, is_retweet in zip(
+                        window.tweet_ids, stamps, window.retweet_counts, window.favorite_counts, window.is_retweet):
                     # A str id, an exact int or bool prints as the encoder would print it, with no encoder
                     # frame, and ISO text needs no escaping; any other id, counter or flag goes through it.
                     tweet_id = (encode_basestring_ascii(tweet_id) if isinstance(tweet_id, str)
                                 else _compact_json(tweet_id))
                     flag = "true" if is_retweet is True else "false" if is_retweet is False else _compact_json(is_retweet)
                     lines.append(f'{{"kind":"tweet","id":{tweet_id},"author_id":{author_id},'
-                                 f'"created_at":"{created_at.isoformat()}",'
+                                 f'"created_at":"{created_at}",'
                                  f'"retweet_count":{retweets if type(retweets) is int else _compact_json(retweets)},'
                                  f'"favorite_count":{favorites if type(favorites) is int else _compact_json(favorites)},'
                                  f'"is_retweet":{flag}}}\n')
@@ -352,6 +366,35 @@ def followers_of(dataset: SnapshotDataset, account_id: str, limit: int) -> list[
     return list(resolvable[:limit])
 
 
+def _sample(getrandbits, population, k: int) -> tuple:
+    """``Random.sample(population, k)`` for 0 <= k <= len(population), from
+    the ``getrandbits`` calls CPython 3.10 to 3.13 make for it, in order, with
+    no Python frame per draw. A position below m is ``randrange(m)``'s draw:
+    m.bit_length() bits, drawn again while they reach m."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:  # a pool of the live entries; the last one fills each pick's place
+        pool = list(population)
+        picks = []
+        for live in range(n, n - k, -1):
+            bits = live.bit_length()
+            j = getrandbits(bits)
+            while j >= live:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[live - 1]
+        return tuple(picks)
+    bits = n.bit_length()
+    picks = {}  # positions in the whole population, in the order first drawn; a repeat is drawn again
+    while len(picks) < k:
+        j = getrandbits(bits)
+        if j < n:
+            picks[j] = None
+    return tuple(map(population.__getitem__, picks))
+
+
 _SYNTHETIC_EPOCH = datetime(2020, 6, 1, tzinfo=timezone.utc)
 _STUB_FRACTION = 0.15
 _TWEET_SUFFIXES = tuple(f"{j:03d}" for j in range(MAX_WINDOW_SIZE))
@@ -373,14 +416,16 @@ def generate_synthetic(seed: int, accounts: int, max_followers: int) -> Snapshot
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     ids = [f"acct-{i:05d}" for i in range(accounts)]
+    # The ids of every account but account i, in order; one entry changes per account.
+    others = ids[1:]
     snapshots: dict[str, AccountSnapshot] = {}
 
-    # randrange(m + 1) is randint(0, m)'s draw without its extra call, and
-    # sampling positions in range(accounts - 1) draws as sampling the list
-    # of the other ids would: position j stands for ids[j + (j >= i)].
+    # randrange(m + 1) is randint(0, m)'s draw without its extra call.
     for i, account_id in enumerate(ids):
+        if i:
+            others[i - 1] = ids[i - 1]
         n_followers = rng.randrange(min(max_followers, accounts - 1) + 1)
-        follower_ids = tuple(ids[j + (j >= i)] for j in rng.sample(range(accounts - 1), n_followers))
+        follower_ids = _sample(getrandbits, others, n_followers)
         followers_count = n_followers + int(10 ** rng.uniform(0, 4))
         following_count = rng.randrange(3001)
         window = None

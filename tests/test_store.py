@@ -842,6 +842,26 @@ CREATED_AT = st.builds(lambda seconds, micros: AS_OF - timedelta(seconds=seconds
                        st.integers(0, 10**6), st.just(0) | st.integers(0, 999_999))
 
 
+class Stamp(datetime):
+    """A datetime subclass, which orjson refuses to encode."""
+
+
+def instants(zones):
+    """Instants from year 1 to 9999 in ``zones``, some on a whole second."""
+    times = st.datetimes(datetime.min, datetime.max, timezones=zones)
+    return times | times.map(lambda t: t.replace(microsecond=0))
+
+
+# Each window's instants are of one kind, since naive and aware instants
+# cannot be ordered: in timezone.utc, in a fixed offset (sub-minute ones
+# too) or naive, each as an exact datetime or as a subclass.
+STAMP_ZONES = [st.just(timezone.utc), st.none(),
+               st.timedeltas(-timedelta(hours=23, minutes=59), timedelta(hours=23, minutes=59)).map(timezone)]
+STAMP_KINDS = st.sampled_from([instants(zones) for zones in STAMP_ZONES]
+                              + [instants(zones).map(lambda t: Stamp.combine(t.date(), t.timetz()))
+                                 for zones in STAMP_ZONES])
+
+
 @st.composite
 def tricky_datasets(draw):
     account_ids = draw(st.lists(TRICKY_TEXT, min_size=1, max_size=4, unique=True))
@@ -986,6 +1006,25 @@ class TestWriter:
             b'"retweet_count":3,"favorite_count":0,"is_retweet":true}\n'
         )
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(windows=st.lists(STAMP_KINDS.flatmap(lambda stamps: st.lists(stamps, min_size=1, max_size=5)),
+                            min_size=1, max_size=4))
+    def test_each_timestamp_is_written_as_its_isoformat(self, windows):
+        # orjson prints a window of exact timezone.utc instants in one call;
+        # every other window prints each instant's own isoformat().
+        accounts = {}
+        for i, stamps in enumerate(windows):
+            window = TweetWindow.from_tweets((f"t{j}", stamp, 0, 0, False) for j, stamp in enumerate(stamps))
+            accounts[f"a{i}"] = AccountSnapshot(f"a{i}", f"h{i}", 0, 0, (), AS_OF, window=window)
+        dataset = SnapshotDataset("stamps", accounts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stamps.jsonl"
+            save_dataset(dataset, path)
+            written = [json.loads(line)["created_at"] for line in path.read_text(encoding="utf-8").splitlines()
+                       if '"kind":"tweet"' in line]
+        assert written == [stamp.isoformat() for account_id in sorted(accounts)
+                           for stamp in accounts[account_id].window.created_at]
+
 
 class TestFollowersOf:
     def test_under_limit_returns_all(self):
@@ -1102,6 +1141,20 @@ class TestGenerateSynthetic:
                 value = ours.getrandbits(k)
             assert value == stdlib.randrange(n)
         assert ours.getstate() == stdlib.getstate()
+
+    # Sizes on both sides of each switch between sample's two branches (a
+    # pool while n <= setsize, where setsize is 21, 85, 277 and 1045 for k up
+    # to 5, 21, 85 and 341), the smallest, gen's populations, and powers of
+    # two, where n.bit_length() and (n - 1).bit_length() differ.
+    @pytest.mark.parametrize("n", [1, 2, 20, 21, 22, 84, 85, 86, 256, 276, 277, 278, 299,
+                                   1024, 1044, 1045, 1046, 1499, 4096, 4999])
+    def test_follower_draw_is_sample(self, n):
+        ks = {k for k in (0, 1, 4, 5, 6, 7, 21, 22, 85, 86, 200, 341, 342, n - 1, n) if 0 <= k <= n}
+        for seed in (0, 3, 2014):
+            for k in sorted(ks):
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                assert store._sample(ours.getrandbits, range(n), k) == tuple(stdlib.sample(range(n), k))
+                assert ours.getstate() == stdlib.getstate()
 
 
 # A small valid snapshot: four accounts, one of them a stub ("d").
