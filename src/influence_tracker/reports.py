@@ -1,9 +1,9 @@
 """Rendering of score and comparison reports as text, CSV, or JSON.
 
 Each report is built once as JSON-ready rows. JSON prints them in exactly
-``json.dumps(indent=2)`` layout: each list of flat records (score rows) goes
-through one C-encoder call, and each dumped network is written straight from
-its nodes and edges, one f-string per node and one join per edge source. CSV
+``json.dumps(indent=2)`` layout: a score report through ``json.dumps`` itself,
+and a comparison through ``_dumps``, which writes each dumped network straight
+from its nodes and edges, one f-string per node and one join per edge source. CSV
 and text print the same values through one table writer, which formats each
 cell by its type: a float gets three decimal places, text adds thousands
 separators to floats and ints, and a string prints unchanged.
@@ -99,22 +99,15 @@ def _dump_network(network: LayeredNetwork, pad: str) -> str:
 
 def _dumps(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, with a ``LayeredNetwork`` written by
-    ``_dump_network`` and each list of flat records in one C-encoder call."""
+    ``_dump_network``."""
     if isinstance(value, LayeredNetwork):
         return _dump_network(value, pad)
     inner = pad + "  "
     if isinstance(value, dict) and value:
         return "{" + ",".join(f"{inner}{_key(k)}: {_dumps(v, inner)}" for k, v in value.items()) + pad + "}"
-    if not isinstance(value, (list, tuple)) or not value:
-        return json.dumps(value)
-    if {*map(type, value)} != {dict} or not all(value) or not {
-            type(v) for r in value for v in r.values()} <= {str, int, float, bool, type(None)}:
+    if isinstance(value, (list, tuple)) and value:
         return "[" + ",".join(inner + _dumps(v, inner) for v in value) + pad + "]"
-    # ensure_ascii leaves no newline in a string, so "}" + separator + "{" only joins records.
-    keys = inner + "  "
-    records = json.JSONEncoder(separators=("," + keys, ": ")).encode(value)[2:-2]
-    records = records.replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
-    return "[" + inner + "{" + keys + records + inner + "}" + pad + "]"
+    return json.dumps(value)
 
 
 def score_rows(
@@ -178,7 +171,7 @@ def render_score(rows: list[dict], fmt: str, dataset_id: str, as_of: datetime) -
             "as_of": as_of.isoformat(),
             "rows": rows,
         }
-        return _dumps(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     return _table(fmt, SCORE_COLUMNS, [[row[c] for c in SCORE_COLUMNS] for row in rows])
 
 
